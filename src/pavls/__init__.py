@@ -11,6 +11,7 @@ from .core import (
     Election,
     Epsilon,
     InvalidCommitteeError,
+    InvalidEpsilonError,
     InvalidSwapError,
     PavlsError,
     SequenceCertificate,
@@ -26,9 +27,8 @@ from .core import (
 from .search import (
     BestResponse,
     LexicographicBetterResponse,
+    RULES,
     RunTrace,
-    Scripted,
-    ScriptedRunError,
     run,
 )
 from .constructions import (
@@ -37,8 +37,6 @@ from .constructions import (
     HardenedParams,
     LabeledElection,
     LayeredParams,
-    build_x_sequence,
-    build_z_sequence,
     certify_hardened,
     delta_formula,
     e_election,
@@ -46,6 +44,8 @@ from .constructions import (
     f_election,
     gain_holds,
     hardened_election,
+    iter_x_sequence,
+    iter_z_sequence,
     layered_election,
     layered_initial_committee,
     warmup_election,

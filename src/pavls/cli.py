@@ -25,7 +25,7 @@ from .harness import (
 )
 from .oracle import brute_force_optimum, is_locally_optimal, min_k_gain_search
 from .samplers import Euclidean, ImpartialCulture, Resampling, SamplerConfig, sample
-from .search import BestResponse, LexicographicBetterResponse, run as run_search
+from .search import RULES, run as run_search
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -43,14 +43,6 @@ def _load_election(args) -> Election:
     if k is not None:
         election = election.with_committee_size(k)
     return election
-
-
-def _epsilon(selector: str, election: Election) -> Epsilon:
-    if selector == "zero-plus":
-        return Epsilon.zero_plus(election.require_committee_size())
-    if selector == "threshold":
-        return Epsilon.threshold(election)
-    return Epsilon.custom(Fraction(selector))
 
 
 def _read_committee(path: str) -> list[int]:
@@ -119,13 +111,13 @@ def _construct(args) -> tuple[cons.LabeledElection, Optional[list[Swap]], Option
     params = cons.LayeredParams(levels=args.levels, k=args.k)
     if fam == "layered":
         labeled = cons.layered_election(params, extra_dummy_voter=args.extra_dummy_voter)
-        seq = cons.build_x_sequence(params, params.levels, 1)
+        seq = list(cons.iter_x_sequence(params, params.levels, 1))
     else:  # hardened
         hp = cons.HardenedParams(
             params, Fraction(args.gamma) if args.gamma else None
         )
         labeled = cons.hardened_election(hp)
-        seq = cons.build_z_sequence(hp)
+        seq = list(cons.iter_z_sequence(params, params.levels, 1))
     return labeled, seq, cons.layered_initial_committee(params)
 
 
@@ -160,7 +152,7 @@ def _cmd_certify(args) -> int:
     election = _load_election(args)
     initial = _read_committee(args.initial)
     seq = _read_sequence(args.sequence)
-    eps = _epsilon(args.epsilon, election)
+    eps = Epsilon.resolve(args.epsilon, election)
     cert = validate_sequence(election, initial, seq, eps)
     print(f"steps: {cert.steps}")
     print(f"structurally valid: {cert.structurally_valid}")
@@ -178,9 +170,8 @@ def _cmd_run(args) -> int:
         _read_committee(args.initial) if args.initial
         else select_initial_committee(election)
     )
-    eps = _epsilon(args.epsilon, election)
-    rule = LexicographicBetterResponse() if args.rule == "lex-better" else BestResponse()
-    trace = run_search(election, initial, eps, rule, step_cap=args.step_cap)
+    eps = Epsilon.resolve(args.epsilon, election)
+    trace = run_search(election, initial, eps, RULES[args.rule], step_cap=args.step_cap)
     print(f"initial committee: {sorted(trace.initial_committee)}")
     print(f"swaps: {trace.swaps}")
     print(f"comparisons: {trace.comparisons}")
@@ -207,8 +198,7 @@ def _cmd_experiment(args) -> int:
         k_values=tuple(_parse_int_list(args.k_values)),
         repetitions=args.reps,
         rules=tuple(args.rules.split(",")),
-        epsilon=args.epsilon if args.epsilon in ("zero-plus", "threshold")
-        else Fraction(args.epsilon),
+        epsilon=args.epsilon,
         base_seed=args.seed,
     )
     result = run_experiment(config)
@@ -231,7 +221,7 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.mode == "local-opt":
         election = _load_election(args)
-        eps = _epsilon(args.epsilon, election)
+        eps = Epsilon.resolve(args.epsilon, election)
         committee = _parse_int_list(args.committee)
         flag, witness, gain = is_locally_optimal(election, committee, eps)
         print(f"locally optimal: {flag}")
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=float, default=0.25)
     p.add_argument("--k-values", required=True, help="comma-separated committee sizes")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--rules", default="lex-better,best")
+    p.add_argument("--rules", default=",".join(RULE_NAMES))
     p.add_argument("--epsilon", default="zero-plus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")

@@ -24,7 +24,7 @@ finishes with a structural self-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -412,6 +412,11 @@ def layered_election(params: LayeredParams, extra_dummy_voter: bool = False) -> 
     reading in which one extra unit-weight voter approving d_{k2} is
     added as well.
     """
+    return _layered_builder(params, extra_dummy_voter).build(params.k)
+
+
+def _layered_builder(params: LayeredParams, extra_dummy_voter: bool) -> _Builder:
+    """The layered election's candidates and classes, not yet frozen."""
     t, k2, levels = params.t, params.k2, params.levels
     b = _Builder()
     for i in range(1, levels + 1):
@@ -442,7 +447,7 @@ def layered_election(params: LayeredParams, extra_dummy_voter: bool = False) -> 
             b.add_class(frozenset(rewired), 1, f"N{i}")
     if extra_dummy_voter:
         b.add_class(frozenset({f"d{k2}"}), 1, "extra")
-    return b.build(params.k)
+    return b
 
 
 @dataclass
@@ -483,6 +488,10 @@ def x_length(params: LayeredParams, level: int) -> int:
 
 def iter_x_sequence(params: LayeredParams, level: int, parity: int = 1) -> Iterator[Swap]:
     """Stream the recursive sweep sequence without materializing it."""
+    if parity not in (0, 1):
+        raise ConstructionError(f"parity must be 0 or 1, got {parity}")
+    if not 1 <= level <= params.levels:
+        raise ConstructionError(f"level {level} not in [1, {params.levels}]")
     t = params.t
     cand = lambda q: layered_candidate_index(params, level, q)
     if level == 1:
@@ -499,14 +508,6 @@ def iter_x_sequence(params: LayeredParams, level: int, parity: int = 1) -> Itera
         else:
             yield Swap(cand(t - j + 2), cand(t - j + 1))
         yield from iter_x_sequence(params, level - 1, (j - 1) % 2)
-
-
-def build_x_sequence(params: LayeredParams, level: int, parity: int = 1) -> list[Swap]:
-    if parity not in (0, 1):
-        raise ConstructionError(f"parity must be 0 or 1, got {parity}")
-    if not 1 <= level <= params.levels:
-        raise ConstructionError(f"level {level} not in [1, {params.levels}]")
-    return list(iter_x_sequence(params, level, parity))
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +559,7 @@ def hardened_election(hp: HardenedParams) -> LabeledElection:
             f"{[i for i, ok in report.levels.items() if not ok]}; "
             "hardened instance would not certify"
         )
-    base = layered_election(params)
-    b = _Builder()
-    for name in base.election.candidate_names:
-        b.add_candidate(name)
-    for idx, bc in enumerate(base.election.ballot_classes):
-        group = next(g for g, members in base.voter_groups.items() if idx in members)
-        ballot = frozenset(base.election.candidate_names[c] for c in bc.approves)
-        b.add_class(ballot, bc.weight, group)
+    b = _layered_builder(params, extra_dummy_voter=False)
     weight = hp.blocker_weight
     for i in range(1, params.levels + 1):
         column = frozenset(f"c[{i},{q}]" for q in range(1, params.t + 2))
@@ -589,10 +583,6 @@ def iter_z_sequence(params: LayeredParams, level: int, parity: int = 1) -> Itera
     for j in range(1, t + 1):
         yield Swap(cand(j), cand(j + 1))
         yield from iter_z_sequence(params, level - 1, (j - 1) % 2)
-
-
-def build_z_sequence(hp: HardenedParams) -> list[Swap]:
-    return list(iter_z_sequence(hp.layered, hp.layered.levels, 1))
 
 
 @dataclass
@@ -622,7 +612,7 @@ def certify_hardened(hp: HardenedParams, step_cap: Optional[int] = None) -> Hard
     for idx, d in enumerate(trace.step_deltas):
         if d > gamma:
             raise GammaTooSmallError(idx, d, gamma)
-    predicted = build_z_sequence(hp)
+    predicted = list(iter_z_sequence(params, params.levels, 1))
     first_mismatch = None
     for idx, (got, want) in enumerate(zip(trace.executed_swaps, predicted)):
         if got != want:

@@ -14,10 +14,10 @@ without changing any score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class PavlsError(Exception):
@@ -29,6 +29,10 @@ class InvalidCommitteeError(PavlsError):
 
 
 class InvalidSwapError(PavlsError):
+    pass
+
+
+class InvalidEpsilonError(PavlsError):
     pass
 
 
@@ -57,12 +61,6 @@ def lcm_range(k: int) -> int:
 class Swap(NamedTuple):
     out_candidate: int
     in_candidate: int
-
-
-#: A swap sequence is an ordered list of swaps.  Concatenation is list
-#: concatenation; validity is relative to a start committee and is
-#: checked by :func:`validate_sequence`.
-SwapSequence = list
 
 
 def inverse_sequence(seq: Sequence[Swap]) -> list[Swap]:
@@ -203,6 +201,33 @@ class Epsilon:
     def custom(value: Fraction) -> "Epsilon":
         return Epsilon("custom", Fraction(value))
 
+    @staticmethod
+    def check_selector(selector: Union[str, Fraction]) -> Union[str, Fraction]:
+        """Check an epsilon selector and normalise it.
+
+        A selector is ``"zero-plus"`` (1/lcm(1..k)), ``"threshold"``
+        (n/k^2), or a positive rational given as a number or a string
+        such as ``"28/3"``, which is returned as a Fraction.
+        """
+        if selector in ("zero-plus", "threshold"):
+            return selector
+        try:
+            return Epsilon.custom(selector).value
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InvalidEpsilonError(
+                f"epsilon must be zero-plus, threshold or a positive fraction, got {selector!r}"
+            ) from None
+
+    @staticmethod
+    def resolve(selector: Union[str, Fraction], election: Election) -> "Epsilon":
+        """The threshold a selector (see :meth:`check_selector`) names on ``election``."""
+        selector = Epsilon.check_selector(selector)
+        if selector == "zero-plus":
+            return Epsilon.zero_plus(election.require_committee_size())
+        if selector == "threshold":
+            return Epsilon.threshold(election)
+        return Epsilon.custom(selector)
+
 
 class SatisfactionState:
     """Mutable per-run cache: committee plus per-class intersection sizes.
@@ -218,13 +243,6 @@ class SatisfactionState:
         self.election = election
         self.committee = set(members)
         self.hits = [len(bc.approves & members) for bc in election.ballot_classes]
-
-    def copy(self) -> "SatisfactionState":
-        dup = object.__new__(SatisfactionState)
-        dup.election = self.election
-        dup.committee = set(self.committee)
-        dup.hits = list(self.hits)
-        return dup
 
     def score(self) -> Fraction:
         total = Fraction(0)
@@ -246,6 +264,15 @@ def pav_score(election: Election, committee: Iterable[int]) -> Fraction:
     return total
 
 
+def check_swap(state: SatisfactionState, a: int, b: int) -> None:
+    """Raise :class:`InvalidSwapError` unless ``a`` is seated and ``b`` is
+    a candidate outside the committee."""
+    if a not in state.committee:
+        raise InvalidSwapError(f"outgoing candidate {a} not in committee")
+    if b in state.committee or not 0 <= b < state.election.m:
+        raise InvalidSwapError(f"incoming candidate {b} invalid for committee")
+
+
 def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fraction:
     """Exact PAV-score change of swapping committee member ``a`` for ``b``.
 
@@ -255,11 +282,7 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     neither cancel and are skipped, which is what lets the heavyweight
     blocker groups of the hardened instances cost nothing here.
     """
-    committee = state.committee
-    if a not in committee:
-        raise InvalidSwapError(f"outgoing candidate {a} not in committee")
-    if b in committee:
-        raise InvalidSwapError(f"incoming candidate {b} already in committee")
+    check_swap(state, a, b)
     hits = state.hits
     sets = election.approval_sets
     weights = election.weights
@@ -282,11 +305,8 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
 
 def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
     """Apply a swap in place; the state is untouched if the swap is invalid."""
-    a, b = swap.out_candidate, swap.in_candidate
-    if a not in state.committee:
-        raise InvalidSwapError(f"outgoing candidate {a} not in committee")
-    if b in state.committee or not 0 <= b < state.election.m:
-        raise InvalidSwapError(f"incoming candidate {b} invalid for committee")
+    a, b = swap
+    check_swap(state, a, b)
     hits = state.hits
     for ci in state.election.approvers[a]:
         hits[ci] -= 1
@@ -339,41 +359,31 @@ def validate_sequence(
     """Replay ``seq`` from ``start``; certify it good iff every step has
     delta >= epsilon.
 
-    A structural violation (outgoing candidate missing, incoming already
-    seated) stops the replay and is reported by index; a step with
-    delta < epsilon is a certification outcome, not an error.
+    A structurally invalid swap (see :func:`check_swap`) stops the
+    replay and is reported by index; a step with delta < epsilon is a
+    certification outcome, not an error.
     """
     state = SatisfactionState(election, start)
     check_quantized = epsilon.kind == "zero-plus"
     deltas: list[Fraction] = []
-    total = Fraction(0)
-    good = True
+    first_invalid: Optional[int] = None
     for idx, swap in enumerate(seq):
-        a, b = swap.out_candidate, swap.in_candidate
-        if a not in state.committee or b in state.committee or not 0 <= b < election.m:
-            return SequenceCertificate(
-                structurally_valid=False,
-                first_invalid_step=idx,
-                step_deltas=deltas,
-                certified_good=False,
-                total_gain=total,
-                final_committee=frozenset(state.committee),
-                epsilon=epsilon.value,
-            )
-        d = delta(election, state, a, b)
+        try:
+            d = delta(election, state, *swap)
+        except InvalidSwapError:
+            first_invalid = idx
+            break
         if check_quantized:
             assert_quantized(election, d)
         deltas.append(d)
-        total += d
-        if d < epsilon.value:
-            good = False
         apply_swap(state, swap)
+    valid = first_invalid is None
     return SequenceCertificate(
-        structurally_valid=True,
-        first_invalid_step=None,
+        structurally_valid=valid,
+        first_invalid_step=first_invalid,
         step_deltas=deltas,
-        certified_good=good,
-        total_gain=total,
+        certified_good=valid and all(d >= epsilon.value for d in deltas),
+        total_gain=sum(deltas, Fraction(0)),
         final_committee=frozenset(state.committee),
         epsilon=epsilon.value,
     )

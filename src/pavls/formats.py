@@ -256,10 +256,8 @@ def parse_preflib_categorical(
 # CSV emission
 
 
-def _render_cell(column: str, value: object) -> object:
+def _render_cell(value: object) -> object:
     if isinstance(value, Fraction):
-        if column.endswith("_float"):
-            return float(value)
         return str(value)  # "num/den", or plain integer string
     return value
 
@@ -268,8 +266,7 @@ def write_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     """Render rows under a fixed column schema.
 
     Every row must have exactly the schema's keys.  Fractions are
-    written as exact ``num/den`` strings unless the column name ends in
-    ``_float``.
+    written as exact ``num/den`` strings.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -280,10 +277,5 @@ def write_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
             raise FormatError(
                 f"row {i} keys {sorted(row)} do not match schema {sorted(expected)}"
             )
-        writer.writerow([_render_cell(col, row[col]) for col in columns])
+        writer.writerow([_render_cell(row[col]) for col in columns])
     return buf.getvalue()
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Inverse of the CSV fraction rendering."""
-    return Fraction(text)

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .core import Election, Epsilon, PavlsError, validate_committee
+from .core import Election, Epsilon, PavlsError
 from .formats import write_csv
 from .samplers import SamplerConfig, sample
-from .search import BestResponse, LexicographicBetterResponse, run
+from .search import RULES, run
 
-RULE_NAMES = ("lex-better", "best")
+RULE_NAMES = tuple(RULES)
 
 RUNS_COLUMNS = ("model", "k", "rule", "rep", "seed", "swaps", "comparisons", "error")
 AGGREGATE_COLUMNS = (
@@ -45,12 +45,13 @@ class ExperimentConfig:
     k_values: tuple[int, ...]
     repetitions: int = 1
     rules: tuple[str, ...] = RULE_NAMES
-    epsilon: Union[str, Fraction] = "zero-plus"  # "zero-plus" | "threshold" | custom value
+    epsilon: Union[str, Fraction] = "zero-plus"  # see Epsilon.check_selector
     base_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(self.k_values))
         object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "epsilon", Epsilon.check_selector(self.epsilon))
         if not self.k_values:
             raise HarnessError("need at least one committee size")
         if self.repetitions < 1:
@@ -72,16 +73,6 @@ def _model_tag(source: Union[SamplerConfig, Election]) -> str:
     return f"{type(model).__name__}({params};n={source.n},m={source.m})"
 
 
-def _resolve_epsilon(selector: Union[str, Fraction], election: Election) -> Epsilon:
-    if selector == "zero-plus":
-        return Epsilon.zero_plus(election.require_committee_size())
-    if selector == "threshold":
-        return Epsilon.threshold(election)
-    if isinstance(selector, str):
-        raise HarnessError(f"unknown epsilon selector {selector!r}")
-    return Epsilon.custom(Fraction(selector))
-
-
 def select_initial_committee(election: Election) -> frozenset[int]:
     """The k candidates with highest total approval weight; ties broken
     by lowest candidate index."""
@@ -96,12 +87,6 @@ def select_initial_committee(election: Election) -> frozenset[int]:
 
 def run_seed(base_seed: int, k_index: int, repetitions: int, rep: int) -> int:
     return base_seed * 1_000_003 + (k_index * repetitions + rep)
-
-
-_RULES = {
-    "lex-better": LexicographicBetterResponse(),
-    "best": BestResponse(),
-}
 
 
 @dataclass
@@ -179,7 +164,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 else:
                     election = sample(replace(config.source, seed=seed)).with_committee_size(k)
                 initial = select_initial_committee(election)
-                epsilon = _resolve_epsilon(config.epsilon, election)
+                epsilon = Epsilon.resolve(config.epsilon, election)
             except (PavlsError, ValueError) as exc:
                 for rule_name in config.rules:
                     rows.append({
@@ -193,7 +178,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     "seed": seed, "swaps": "", "comparisons": "", "error": "",
                 }
                 try:
-                    trace = run(election, initial, epsilon, _RULES[rule_name])
+                    trace = run(election, initial, epsilon, RULES[rule_name])
                     row["swaps"] = trace.swaps
                     row["comparisons"] = trace.comparisons
                 except (PavlsError, ValueError) as exc:

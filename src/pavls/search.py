@@ -10,69 +10,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Election,
     Epsilon,
-    InvalidSwapError,
-    PavlsError,
     SatisfactionState,
     Swap,
     apply_swap,
     assert_quantized,
     delta,
-    validate_committee,
 )
 
 
-class ScriptedRunError(PavlsError):
-    """A scripted swap was structurally invalid or below threshold."""
-
-    def __init__(self, step_index: int, message: str):
-        super().__init__(f"scripted step {step_index}: {message}")
-        self.step_index = step_index
-
-
-@dataclass(frozen=True)
-class LexicographicBetterResponse:
-    """First qualifying swap in lexicographic (incoming, outgoing) order.
-
-    ``order`` is a total order over all candidates (a permutation of
-    range(m)); None means index order.
-    """
-
-    order: Optional[tuple[int, ...]] = None
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """Maximum-gain swap; ties broken lexicographically by (incoming,
-    outgoing) under ``order`` (index order if None)."""
-
-    order: Optional[tuple[int, ...]] = None
-
-
-@dataclass(frozen=True)
-class Scripted:
-    """Replay a fixed swap sequence, failing if any step falls below the
-    run threshold."""
-
-    sequence: tuple[Swap, ...]
-
-    def __init__(self, sequence: Iterable[Swap]):
-        object.__setattr__(self, "sequence", tuple(sequence))
-
-
-PivotRule = Union[LexicographicBetterResponse, BestResponse, Scripted]
-
-
-def _candidate_order(election: Election, order: Optional[Sequence[int]]) -> Sequence[int]:
+def _scan(
+    election: Election, state: SatisfactionState, order: Optional[Sequence[int]]
+) -> Iterator[tuple[int, int, Fraction]]:
+    """Yield (outgoing, incoming, delta) for every swap in lexicographic
+    (incoming, outgoing) order under ``order`` (index order if None)."""
     if order is None:
-        return range(election.m)
-    if sorted(order) != list(range(election.m)):
-        raise ValueError("candidate order must be a permutation of range(m)")
-    return order
+        order = range(election.m)
+    committee = state.committee
+    outs = [c for c in order if c in committee]
+    for b in order:
+        if b not in committee:
+            for a in outs:
+                yield a, b, delta(election, state, a, b)
 
 
 def next_swap_lex(
@@ -87,19 +51,11 @@ def next_swap_lex(
     delta evaluation including the failed ones.  If no pair qualifies,
     all k(m-k) pairs have been evaluated.
     """
-    order = _candidate_order(election, order)
-    committee = state.committee
-    outs = [c for c in order if c in committee]
-    comparisons = 0
     threshold = epsilon.value
-    for b in order:
-        if b in committee:
-            continue
-        for a in outs:
-            comparisons += 1
-            d = delta(election, state, a, b)
-            if d >= threshold:
-                return Swap(a, b), d, comparisons
+    comparisons = 0
+    for comparisons, (a, b, d) in enumerate(_scan(election, state, order), 1):
+        if d >= threshold:
+            return Swap(a, b), d, comparisons
     return None, None, comparisons
 
 
@@ -114,23 +70,43 @@ def next_swap_best(
     Always evaluates all k(m-k) pairs.  The first maximizer in
     lexicographic (in, out) order wins ties.
     """
-    order = _candidate_order(election, order)
-    committee = state.committee
-    outs = [c for c in order if c in committee]
-    comparisons = 0
-    best: Optional[Swap] = None
-    best_delta: Optional[Fraction] = None
-    for b in order:
-        if b in committee:
-            continue
-        for a in outs:
-            comparisons += 1
-            d = delta(election, state, a, b)
-            if best_delta is None or d > best_delta:
-                best, best_delta = Swap(a, b), d
-    if best_delta is not None and best_delta >= epsilon.value:
-        return best, best_delta, comparisons
-    return None, None, comparisons
+    best = max(_scan(election, state, order), key=itemgetter(2), default=None)
+    k = len(state.committee)
+    comparisons = k * (election.m - k)
+    if best is None or best[2] < epsilon.value:
+        return None, None, comparisons
+    a, b, d = best
+    return Swap(a, b), d, comparisons
+
+
+@dataclass(frozen=True)
+class _OrderedRule:
+    """``order`` is a total order over all candidates (a permutation of
+    range(m)); None means index order."""
+
+    order: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.order is not None and sorted(self.order) != list(range(len(self.order))):
+            raise ValueError("candidate order must be a permutation of range(m)")
+
+
+class LexicographicBetterResponse(_OrderedRule):
+    """First qualifying swap in lexicographic (incoming, outgoing) order."""
+
+
+class BestResponse(_OrderedRule):
+    """Maximum-gain swap; ties broken lexicographically by (incoming,
+    outgoing) order."""
+
+
+PivotRule = Union[LexicographicBetterResponse, BestResponse]
+
+#: The pivoting rules by name, as the CLI and the experiment CSVs spell them.
+RULES: dict[str, PivotRule] = {
+    "lex-better": LexicographicBetterResponse(),
+    "best": BestResponse(),
+}
 
 
 @dataclass
@@ -160,57 +136,35 @@ def run(
     rule: PivotRule,
     step_cap: Optional[int] = None,
 ) -> RunTrace:
-    """Run epsilon-local-search from ``initial`` under the given rule.
-
-    The Scripted rule replays its sequence and aborts with
-    :class:`ScriptedRunError` if any scripted swap is structurally
-    invalid or gains less than epsilon.
-    """
-    members = validate_committee(election, initial)
-    state = SatisfactionState(election, members)
+    """Run epsilon-local-search from ``initial`` under the given rule."""
+    if isinstance(rule, LexicographicBetterResponse):
+        picker = next_swap_lex
+    elif isinstance(rule, BestResponse):
+        picker = next_swap_best
+    else:
+        raise TypeError(f"unknown pivot rule: {rule!r}")
+    if rule.order is not None and len(rule.order) != election.m:
+        raise ValueError(f"candidate order has {len(rule.order)} entries, not m={election.m}")
+    state = SatisfactionState(election, initial)
+    members = frozenset(state.committee)
     check_quantized = epsilon.kind == "zero-plus"
     executed: list[Swap] = []
     deltas: list[Fraction] = []
     comparisons = 0
     terminated = True
-
-    if isinstance(rule, Scripted):
-        for idx, swap in enumerate(rule.sequence):
-            if step_cap is not None and len(executed) >= step_cap:
-                terminated = False
-                break
-            a, b = swap.out_candidate, swap.in_candidate
-            if a not in state.committee or b in state.committee or not 0 <= b < election.m:
-                raise ScriptedRunError(idx, f"swap ({a} -> {b}) structurally invalid")
-            d = delta(election, state, a, b)
-            comparisons += 1
-            if d < epsilon.value:
-                raise ScriptedRunError(idx, f"delta {d} below epsilon {epsilon.value}")
-            if check_quantized:
-                assert_quantized(election, d)
-            apply_swap(state, swap)
-            executed.append(swap)
-            deltas.append(d)
-    else:
-        if isinstance(rule, LexicographicBetterResponse):
-            picker, order = next_swap_lex, rule.order
-        elif isinstance(rule, BestResponse):
-            picker, order = next_swap_best, rule.order
-        else:
-            raise TypeError(f"unknown pivot rule: {rule!r}")
-        while True:
-            if step_cap is not None and len(executed) >= step_cap:
-                terminated = False
-                break
-            swap, d, used = picker(election, state, epsilon, order)
-            comparisons += used
-            if swap is None:
-                break
-            if check_quantized:
-                assert_quantized(election, d)
-            apply_swap(state, swap)
-            executed.append(swap)
-            deltas.append(d)
+    while True:
+        if step_cap is not None and len(executed) >= step_cap:
+            terminated = False
+            break
+        swap, d, used = picker(election, state, epsilon, rule.order)
+        comparisons += used
+        if swap is None:
+            break
+        if check_quantized:
+            assert_quantized(election, d)
+        apply_swap(state, swap)
+        executed.append(swap)
+        deltas.append(d)
 
     return RunTrace(
         initial_committee=members,

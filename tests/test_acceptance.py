@@ -21,11 +21,8 @@ from pavls import (
     LayeredParams,
     LexicographicBetterResponse,
     SamplerConfig,
-    Scripted,
     Swap,
     brute_force_optimum,
-    build_x_sequence,
-    build_z_sequence,
     certify_hardened,
     delta,
     delta_formula,
@@ -217,7 +214,7 @@ def _hardened_csv() -> str:
     cert = certify_hardened(hp)
     assert cert.matches, f"first mismatch at {cert.first_mismatch}"
     assert cert.trace.executed_swaps == cert.predicted
-    assert cert.trace.swaps == len(build_z_sequence(hp))
+    assert cert.trace.swaps == len(cert.predicted)
     assert cert.trace.swaps >= hp.layered.t ** 2 // 2
     # every executed swap stays within one column
     t = hp.layered.t

@@ -115,6 +115,21 @@ def test_preflib_loading(tmp_path, capsys):
     assert "optimum score: 5" in out
 
 
+def test_bad_epsilon_exit_code(tmp_path, capsys, fig1b):
+    e_path = tmp_path / "fig1b.pavls"
+    e_path.write_text(serialize_native(fig1b))
+    out_dir = tmp_path / "exp"
+    for argv in (
+        ["run", "--election", str(e_path), "--epsilon", "abc"],
+        ["run", "--election", str(e_path), "--epsilon", "-1"],
+        ["experiment", "--model", "ic", "--k-values", "2", "--epsilon", "abc",
+         "--out", str(out_dir)],
+    ):
+        assert main(argv) == 2, argv
+        assert "error: epsilon must be" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pavls"
     bad.write_text("nonsense\n")

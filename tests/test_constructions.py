@@ -8,8 +8,6 @@ from pavls import (
     HardenedParams,
     LayeredParams,
     Swap,
-    build_x_sequence,
-    build_z_sequence,
     certify_hardened,
     delta,
     delta_formula,
@@ -19,15 +17,18 @@ from pavls import (
     gain_holds,
     hardened_election,
     inverse_sequence,
+    iter_x_sequence,
+    iter_z_sequence,
     layered_election,
     layered_initial_committee,
+    serialize_native,
     validate_sequence,
     warmup_election,
     warmup_initial_committee,
     warmup_sequence,
     x_length,
 )
-from pavls.constructions import _f_ballots, iter_x_sequence
+from pavls.constructions import _f_ballots
 from pavls.core import SatisfactionState
 
 
@@ -233,12 +234,12 @@ def test_x_sequence_matches_length_and_streams():
     p = LayeredParams(2, 21)
     for level in (1, 2):
         for parity in (0, 1):
-            seq = build_x_sequence(p, level, parity)
-            assert len(seq) == x_length(p, level)
-            assert seq == list(iter_x_sequence(p, level, parity))
-    assert build_x_sequence(p, 1, 0) == inverse_sequence(build_x_sequence(p, 1, 1))
+            assert len(list(iter_x_sequence(p, level, parity))) == x_length(p, level)
+    assert list(iter_x_sequence(p, 1, 0)) == inverse_sequence(list(iter_x_sequence(p, 1, 1)))
     with pytest.raises(ConstructionError):
-        build_x_sequence(p, 1, 2)
+        list(iter_x_sequence(p, 1, 2))
+    with pytest.raises(ConstructionError):
+        list(iter_x_sequence(p, 3, 1))
 
 
 def test_layered_x_sequence_certifies_small():
@@ -247,7 +248,7 @@ def test_layered_x_sequence_certifies_small():
     cert = validate_sequence(
         lab.election,
         layered_initial_committee(p),
-        build_x_sequence(p, 2, 1),
+        iter_x_sequence(p, 2, 1),
         Epsilon.zero_plus(p.k),
     )
     assert cert.certified_good
@@ -260,7 +261,7 @@ def test_layered_stability_at_sampled_prefixes():
     p = LayeredParams(2, 21)
     lab = layered_election(p)
     e = lab.election
-    seq = build_x_sequence(p, 2, 1)
+    seq = iter_x_sequence(p, 2, 1)
     state = SatisfactionState(e, layered_initial_committee(p))
     from pavls.core import apply_swap
 
@@ -315,9 +316,19 @@ def test_hardened_blocker_groups():
         assert lab.election.approval_sets[ci] == frozenset({lab.candidate(f"d{i}")})
 
 
+def test_hardened_extends_layered_native_text():
+    hp = HardenedParams(LayeredParams(2, 21), gamma=Fraction(1))
+    layered = serialize_native(layered_election(hp.layered).election)
+    hardened = serialize_native(hardened_election(hp).election)
+    assert hardened.startswith(layered)
+    blockers = hardened[len(layered):].splitlines()
+    assert len(blockers) == hp.layered.levels + hp.layered.k2
+    assert all(line.startswith("ballot 2: ") for line in blockers)
+
+
 def test_z_sequence_shape():
     hp = HardenedParams(LayeredParams(2, 32))
-    z = build_z_sequence(hp)
+    z = list(iter_z_sequence(hp.layered, hp.layered.levels, 1))
     t = hp.layered.t
     assert len(z) == t * (t + 3) // 2  # t/2 full upward sweeps, t/2 shortcuts
     assert len(z) >= t * t // 2

@@ -10,6 +10,7 @@ from pavls import (
     Election,
     Epsilon,
     InvalidCommitteeError,
+    InvalidEpsilonError,
     InvalidSwapError,
     Swap,
     delta,
@@ -84,6 +85,11 @@ def test_delta_rejects_invalid(fig1a):
         delta(fig1a, state, 3, 4)  # 3 not in committee
     with pytest.raises(InvalidSwapError):
         delta(fig1a, state, 0, 1)  # 1 already seated
+    for b in (-1, 9):  # out of range, including negative indexing
+        with pytest.raises(InvalidSwapError):
+            delta(fig1a, state, 0, b)
+        with pytest.raises(InvalidSwapError):
+            apply_swap(state, Swap(0, b))
 
 
 def test_apply_swap_updates_hits(fig1a):
@@ -105,6 +111,16 @@ def test_epsilon_kinds(fig1b):
         Epsilon.custom(Fraction(0))
 
 
+def test_epsilon_resolve(fig1b):
+    assert Epsilon.resolve("zero-plus", fig1b) == Epsilon.zero_plus(3)
+    assert Epsilon.resolve("threshold", fig1b) == Epsilon.threshold(fig1b)
+    assert Epsilon.resolve("28/3", fig1b) == Epsilon.custom(Fraction(28, 3))
+    assert Epsilon.resolve(Fraction(5, 2), fig1b) == Epsilon.custom(Fraction(5, 2))
+    for bad in ("abc", "-1", "0", "1/0", None):
+        with pytest.raises(InvalidEpsilonError):
+            Epsilon.resolve(bad, fig1b)
+
+
 def test_inverse_sequence():
     seq = [Swap(1, 2), Swap(3, 4)]
     assert inverse_sequence(seq) == [Swap(4, 3), Swap(2, 1)]
@@ -123,6 +139,8 @@ def test_validate_sequence_structural(fig1b):
     assert not cert.structurally_valid
     assert cert.first_invalid_step == 1  # candidate 2 already swapped out
     assert cert.steps == 1
+    cert = validate_sequence(fig1b, {0, 1, 2}, [Swap(2, -1)], eps)
+    assert not cert.structurally_valid and cert.first_invalid_step == 0
 
 
 def test_validate_sequence_good_and_bad(fig1b):

@@ -7,6 +7,7 @@ from pavls import (
     Election,
     ExperimentConfig,
     ImpartialCulture,
+    InvalidEpsilonError,
     SamplerConfig,
     aggregate,
     run_experiment,
@@ -88,6 +89,9 @@ def test_config_validation():
         ExperimentConfig(source, (2,), repetitions=0)
     with pytest.raises(HarnessError):
         ExperimentConfig(source, (2,), rules=("bogus",))
+    with pytest.raises(InvalidEpsilonError):
+        ExperimentConfig(source, (2,), epsilon="abc")
+    assert ExperimentConfig(source, (2,), epsilon="5/2").epsilon == Fraction(5, 2)
 
 
 def test_seed_schedule():

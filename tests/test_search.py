@@ -8,11 +8,10 @@ from pavls import (
     Election,
     Epsilon,
     LexicographicBetterResponse,
-    Scripted,
-    ScriptedRunError,
     Swap,
     pav_score,
     run,
+    validate_sequence,
 )
 from pavls.core import SatisfactionState
 from pavls.search import next_swap_best, next_swap_lex
@@ -41,8 +40,15 @@ def test_custom_order_changes_selection(fig1b):
     order = tuple([4, 3] + list(range(3)) + list(range(5, 11)))
     swap, d, _ = next_swap_lex(fig1b, state, Epsilon.zero_plus(3), order)
     assert swap == Swap(0, 4)  # candidate 4 now scanned before 3
+    trace = run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), LexicographicBetterResponse(order),
+                step_cap=1)
+    assert trace.executed_swaps == [Swap(0, 4)]
     with pytest.raises(ValueError):
-        next_swap_lex(fig1b, state, Epsilon.zero_plus(3), (0, 0, 1))
+        LexicographicBetterResponse((0, 0, 1))
+    with pytest.raises(ValueError):
+        BestResponse((1, 2))
+    with pytest.raises(ValueError):  # a permutation, but of range(3), not range(11)
+        run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), BestResponse((2, 0, 1)))
 
 
 def test_run_lex_terminates_at_local_optimum(fig1b):
@@ -85,22 +91,23 @@ def test_step_cap(fig1b):
 
 
 def test_scripted_replay_success(fig1b):
-    trace = run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), Scripted([Swap(2, 3)]))
-    assert trace.terminated
-    assert trace.executed_swaps == [Swap(2, 3)]
-    assert trace.step_deltas == [Fraction(28, 3)]
-    assert trace.comparisons == 1
+    cert = validate_sequence(fig1b, {0, 1, 2}, [Swap(2, 3)], Epsilon.zero_plus(3))
+    assert cert.certified_good
+    assert cert.final_committee == frozenset({0, 1, 3})
+    assert cert.step_deltas == [Fraction(28, 3)]
+    assert cert.steps == 1
 
 
 def test_scripted_replay_failures(fig1b):
     eps = Epsilon.zero_plus(3)
-    with pytest.raises(ScriptedRunError) as exc:
-        run(fig1b, {0, 1, 2}, eps, Scripted([Swap(3, 4)]))  # 3 not seated
-    assert exc.value.step_index == 0
-    with pytest.raises(ScriptedRunError) as exc:
-        # second step undoes the first: negative delta, below epsilon
-        run(fig1b, {0, 1, 2}, eps, Scripted([Swap(2, 3), Swap(3, 2)]))
-    assert exc.value.step_index == 1
+    cert = validate_sequence(fig1b, {0, 1, 2}, [Swap(3, 4)], eps)  # 3 not seated
+    assert not cert.structurally_valid
+    assert cert.first_invalid_step == 0
+    # second step undoes the first: negative delta, below epsilon
+    cert = validate_sequence(fig1b, {0, 1, 2}, [Swap(2, 3), Swap(3, 2)], eps)
+    assert cert.structurally_valid
+    assert cert.certified_good is False
+    assert cert.step_deltas[1] < 0
 
 
 def test_comparisons_include_final_scan():
