@@ -26,6 +26,7 @@ from .core import (
 )
 from .search import (
     BestResponse,
+    InvalidStepCapError,
     LexicographicBetterResponse,
     RULES,
     RunTrace,

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import constructions as cons
 from .core import Election, Epsilon, PavlsError, Swap, pav_score, validate_sequence
-from .formats import parse_native, parse_preflib_categorical, serialize_native
+from .formats import FormatError, parse_native, parse_preflib_categorical, serialize_native
 from .harness import (
     RULE_NAMES,
     ExperimentConfig,
@@ -28,12 +28,22 @@ from .samplers import Euclidean, ImpartialCulture, Resampling, SamplerConfig, sa
 from .search import RULES, run as run_search
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _parse_int_list(text: str, line: Optional[int] = None) -> list[int]:
+    try:
+        return [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise FormatError(f"expected integers, got {text.strip()!r}", line=line) from None
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PavlsError(f"cannot read {path}: {exc}") from None
 
 
 def _load_election(args) -> Election:
-    text = Path(args.election).read_text()
+    text = _read_text(args.election)
     if getattr(args, "format", "native") == "preflib-cat":
         cats = set(_parse_int_list(args.approve_categories or "1"))
         election = parse_preflib_categorical(text, cats)
@@ -46,17 +56,20 @@ def _load_election(args) -> Election:
 
 
 def _read_committee(path: str) -> list[int]:
-    return _parse_int_list(Path(path).read_text())
+    lines = _read_text(path).splitlines()
+    return [c for lineno, line in enumerate(lines, 1) for c in _parse_int_list(line, lineno)]
 
 
 def _read_sequence(path: str) -> list[Swap]:
     seq = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        a, b = line.split()
-        seq.append(Swap(int(a), int(b)))
+        pair = _parse_int_list(line, lineno)
+        if len(pair) != 2:
+            raise FormatError(f"swap line needs 'out in', got {line!r}", line=lineno)
+        seq.append(Swap(*pair))
     return seq
 
 

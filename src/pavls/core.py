@@ -80,13 +80,15 @@ class BallotClass:
             raise ValueError(f"ballot class weight must be positive, got {self.weight}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Election:
     """A weighted approval election with target committee size.
 
     ``committee_size`` may be None for elections whose committee size is
     attached later (e.g. parsed preference data); scoring operations
-    require it to be set.
+    require it to be set.  Elections are frozen, so the cached indexes
+    below cannot go stale; :meth:`with_committee_size` returns a new
+    election with fresh indexes.
     """
 
     candidate_names: tuple[str, ...]
@@ -94,8 +96,8 @@ class Election:
     committee_size: Optional[int] = None
 
     def __post_init__(self):
-        self.candidate_names = tuple(self.candidate_names)
-        self.ballot_classes = tuple(self.ballot_classes)
+        object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
+        object.__setattr__(self, "ballot_classes", tuple(self.ballot_classes))
         m = len(self.candidate_names)
         if m < 1:
             raise ValueError("election needs at least one candidate")
@@ -128,8 +130,8 @@ class Election:
             raise InvalidCommitteeError("election has no committee size set")
         return self.committee_size
 
-    # Derived indexes below are built once and shared; the election is
-    # treated as immutable after construction.
+    # Derived indexes below are built once and shared.  A class mask is a
+    # Python int whose bit i stands for ballot class i.
 
     @cached_property
     def approval_sets(self) -> tuple[frozenset[int], ...]:
@@ -140,18 +142,33 @@ class Election:
         return tuple(bc.weight for bc in self.ballot_classes)
 
     @cached_property
-    def approvers(self) -> tuple[tuple[int, ...], ...]:
-        """Per-candidate tuple of ballot-class indices approving it."""
-        by_cand: list[list[int]] = [[] for _ in range(self.m)]
-        for ci, bc in enumerate(self.ballot_classes):
-            for c in bc.approves:
-                by_cand[c].append(ci)
-        return tuple(tuple(lst) for lst in by_cand)
+    def approval_masks(self) -> tuple[int, ...]:
+        """Per candidate, the mask of the ballot classes approving it."""
+        # Row c spells candidate c's mask as binary digits, most
+        # significant (last) class first; one int() call per row is
+        # faster than setting the bits one at a time.
+        last = len(self.ballot_classes) - 1
+        rows = [bytearray(b"0") * (last + 1) for _ in range(self.m)]
+        one = ord("1")
+        for ci, approves in enumerate(self.approval_sets):
+            for c in approves:
+                rows[c][last - ci] = one
+        return tuple(int(row, 2) for row in rows)
+
+    @cached_property
+    def weight_masks(self) -> tuple[tuple[int, int], ...]:
+        """One (weight, mask of the classes with that weight) pair per
+        distinct class weight."""
+        groups: dict[int, int] = {}
+        for ci, w in enumerate(self.weights):
+            groups[w] = groups.get(w, 0) | 1 << ci
+        return tuple(groups.items())
 
     @cached_property
     def _delta_scale(self) -> tuple[int, tuple[int, ...]]:
         # Common denominator for all per-voter delta terms.  Hit counts
-        # during a swap stay in [1, k]; the extra slot k+1 is defensive.
+        # during a swap stay in [1, k]; slot k+1 is only ever read for
+        # level k, whose gain count is always zero.
         k = self.require_committee_size()
         scale = math.lcm(*range(1, k + 2))
         table = (0,) + tuple(scale // d for d in range(1, k + 2))
@@ -230,27 +247,54 @@ class Epsilon:
 
 
 class SatisfactionState:
-    """Mutable per-run cache: committee plus per-class intersection sizes.
+    """Mutable per-run cache: committee plus the ballot classes grouped by
+    how many committee members they approve.
 
-    Owned by exactly one run at a time; concurrent runs over the same
-    election each build their own state.
+    ``levels`` maps each occupied hit count h to the mask of the classes
+    approving exactly h committee members; the masks are disjoint and
+    together cover every class.  Owned by exactly one run at a time;
+    concurrent runs over the same election each build their own state.
     """
 
-    __slots__ = ("election", "committee", "hits")
+    __slots__ = ("election", "committee", "levels")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
         self.election = election
         self.committee = set(members)
-        self.hits = [len(bc.approves & members) for bc in election.ballot_classes]
+        levels = {0: (1 << len(election.ballot_classes)) - 1}
+        masks = election.approval_masks
+        for c in members:
+            levels = _move(levels, 0, masks[c])
+        self.levels = levels
 
     def score(self) -> Fraction:
+        weight_masks = self.election.weight_masks
         total = Fraction(0)
-        weights = self.election.weights
-        for ci, h in enumerate(self.hits):
+        for h, mask in self.levels.items():
             if h:
-                total += weights[ci] * _harmonic(h)
+                voters = sum(w * (mask & group).bit_count() for w, group in weight_masks)
+                total += voters * _harmonic(h)
         return total
+
+
+def _move(levels: dict[int, int], down: int, up: int) -> dict[int, int]:
+    """The levels after the classes in ``down`` lose one hit and those in
+    ``up`` gain one (``down`` and ``up`` are disjoint)."""
+    keep = ~(down | up)
+    moved: dict[int, int] = {}
+    get = moved.get
+    for h, mask in levels.items():
+        part = mask & keep
+        if part:
+            moved[h] = get(h, 0) | part
+        part = mask & down
+        if part:
+            moved[h - 1] = get(h - 1, 0) | part
+        part = mask & up
+        if part:
+            moved[h + 1] = get(h + 1, 0) | part
+    return moved
 
 
 def pav_score(election: Election, committee: Iterable[int]) -> Fraction:
@@ -276,30 +320,28 @@ def check_swap(state: SatisfactionState, a: int, b: int) -> None:
 def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fraction:
     """Exact PAV-score change of swapping committee member ``a`` for ``b``.
 
-    Visits only ballot classes approving exactly one of {a, b}: a class
-    approving b but not a gains 1/(hits+1) per voter, a class approving
-    a but not b loses 1/hits per voter.  Classes approving both or
-    neither cancel and are skipped, which is what lets the heavyweight
-    blocker groups of the hardened instances cost nothing here.
+    Only ballot classes approving exactly one of {a, b} count: a class
+    at level h approving b but not a gains 1/(h+1) per voter, one
+    approving a but not b loses 1/h per voter.  Both sets are masks, so
+    each (weight group, level) pair costs two popcounts; a weight group
+    with no such class, like the heavyweight blocker groups of the
+    hardened instances on most swaps, costs nothing.
     """
     check_swap(state, a, b)
-    hits = state.hits
-    sets = election.approval_sets
-    weights = election.weights
+    masks = election.approval_masks
+    gain = masks[b] & ~masks[a]
+    loss = masks[a] & ~masks[b]
     scale, table = election._delta_scale
-    # Signed per-denominator weight totals; index d collects all +-w/d terms.
-    acc = [0] * len(table)
-    for ci in election.approvers[b]:
-        if a not in sets[ci]:
-            acc[hits[ci] + 1] += weights[ci]
-    for ci in election.approvers[a]:
-        if b not in sets[ci]:
-            acc[hits[ci]] -= weights[ci]
+    levels = state.levels.items()
     num = 0
-    for d in range(1, len(table)):
-        w = acc[d]
-        if w:
-            num += w * table[d]
+    for weight, group in election.weight_masks:
+        g = gain & group
+        l = loss & group
+        if g or l:
+            acc = 0
+            for h, mask in levels:
+                acc += (g & mask).bit_count() * table[h + 1] - (l & mask).bit_count() * table[h]
+            num += weight * acc
     return Fraction(num, scale)
 
 
@@ -307,11 +349,8 @@ def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
     """Apply a swap in place; the state is untouched if the swap is invalid."""
     a, b = swap
     check_swap(state, a, b)
-    hits = state.hits
-    for ci in state.election.approvers[a]:
-        hits[ci] -= 1
-    for ci in state.election.approvers[b]:
-        hits[ci] += 1
+    masks = state.election.approval_masks
+    state.levels = _move(state.levels, masks[a] & ~masks[b], masks[b] & ~masks[a])
     state.committee.discard(a)
     state.committee.add(b)
     return state

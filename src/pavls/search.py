@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .core import (
     Election,
     Epsilon,
+    PavlsError,
     SatisfactionState,
     Swap,
     apply_swap,
@@ -109,6 +110,10 @@ RULES: dict[str, PivotRule] = {
 }
 
 
+class InvalidStepCapError(PavlsError):
+    pass
+
+
 @dataclass
 class RunTrace:
     """Everything a local-search run did, in order."""
@@ -136,7 +141,13 @@ def run(
     rule: PivotRule,
     step_cap: Optional[int] = None,
 ) -> RunTrace:
-    """Run epsilon-local-search from ``initial`` under the given rule."""
+    """Run epsilon-local-search from ``initial`` under the given rule.
+
+    ``step_cap`` bounds the number of executed swaps (None: no bound); a
+    run that reaches it stops with ``terminated=False``.
+    """
+    if step_cap is not None and step_cap < 0:
+        raise InvalidStepCapError(f"step cap must be >= 0, got {step_cap}")
     if isinstance(rule, LexicographicBetterResponse):
         picker = next_swap_lex
     elif isinstance(rule, BestResponse):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +140,57 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = main(["run", "--election", str(bad)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _assert_input_error(capsys, argv, message):
+    assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+
+
+def test_missing_election_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.pavls"
+    _assert_input_error(capsys, ["run", "--election", str(missing)], "cannot read")
+
+
+def test_malformed_sequence_exit_code(tmp_path, capsys):
+    e_path, seq_path, init_path = (
+        tmp_path / "e.pavls", tmp_path / "seq.txt", tmp_path / "w0.txt")
+    main(["construct", "--family", "warmup", "-k", "8", "-o", str(e_path),
+          "--initial-out", str(init_path)])
+    seq_path.write_text("# out in\n0 x\n")
+    _assert_input_error(
+        capsys, ["certify", "--election", str(e_path), "--initial", str(init_path),
+                 "--sequence", str(seq_path)], "line 2: ")
+    seq_path.write_text("0 1 2\n")
+    _assert_input_error(
+        capsys, ["certify", "--election", str(e_path), "--initial", str(init_path),
+                 "--sequence", str(seq_path)], "line 1: swap line needs")
+
+
+def test_malformed_initial_exit_code(tmp_path, capsys, fig1b):
+    e_path, init_path = tmp_path / "fig1b.pavls", tmp_path / "w0.txt"
+    e_path.write_text(serialize_native(fig1b))
+    init_path.write_text("0 1 x\n")
+    _assert_input_error(
+        capsys, ["run", "--election", str(e_path), "--initial", str(init_path)],
+        "line 1: expected integers")
+
+
+def test_negative_step_cap_exit_code(tmp_path, capsys, fig1b):
+    e_path = tmp_path / "fig1b.pavls"
+    e_path.write_text(serialize_native(fig1b))
+    _assert_input_error(
+        capsys, ["run", "--election", str(e_path), "--step-cap", "-1"], "step cap")
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pavls", "sample", "--model", "ic", "-n", "5", "-m", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("pavls 1 3 0\n")

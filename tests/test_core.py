@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,23 @@ def test_committee_size_plumbing():
         validate_committee(e.with_committee_size(1), {0, 1})
 
 
+def test_election_is_frozen(fig1a):
+    e = fig1a.with_committee_size(2)
+    assert e.zero_plus_lcm == 2
+    with pytest.raises(FrozenInstanceError):
+        e.committee_size = 3
+    with pytest.raises(FrozenInstanceError):
+        e.ballot_classes = ()
+    assert e.committee_size == 2 and e.zero_plus_lcm == 2
+    # with_committee_size builds a new election with fresh indexes
+    e3 = e.with_committee_size(3)
+    assert e3.zero_plus_lcm == 6
+    assert e3._delta_scale[0] == 12 and e._delta_scale[0] == 6
+    assert e3.approval_masks == e.approval_masks == (0b01, 0b01, 0b01, 0b10, 0b10)
+    state = SatisfactionState(e3, {0, 1, 3})
+    assert delta(e3, state, 3, 2) == pav_score(e3, {0, 1, 2}) - pav_score(e3, {0, 1, 3})
+
+
 def test_pav_score_weighted(fig1a):
     assert pav_score(fig1a, {0, 1, 2}) == 60 * harmonic(3)
     assert pav_score(fig1a, {0, 1, 3}) == 60 * harmonic(2) + 30
@@ -96,7 +114,8 @@ def test_apply_swap_updates_hits(fig1a):
     state = SatisfactionState(fig1a, {0, 1, 2})
     apply_swap(state, Swap(2, 3))
     assert state.committee == {0, 1, 3}
-    assert state.hits == [2, 1]
+    # class 0 approves two members (0, 1), class 1 approves one (3)
+    assert state.levels == {2: 0b01, 1: 0b10}
     assert state.score() == pav_score(fig1a, {0, 1, 3})
     with pytest.raises(InvalidSwapError):
         apply_swap(state, Swap(2, 4))
@@ -226,3 +245,68 @@ def test_weight_splitting_invariance(seed):
         for b in range(e.m):
             if b not in committee:
                 assert delta(e, s1, a, b) == delta(e2, s2, a, b)
+
+
+_WEIGHTS = {
+    "unit": st.just(1),
+    "mixed": st.integers(min_value=1, max_value=6),
+    # blocker-sized classes next to ordinary ones, as in hardened instances
+    "blocker": st.one_of(st.integers(min_value=1, max_value=3),
+                         st.integers(min_value=2**20, max_value=2**40)),
+}
+
+
+@st.composite
+def _walks(draw):
+    """An election, a start committee and a list of swap choices; k is 1,
+    m-1 or anything in between, and an empty ballot may be added."""
+    m = draw(st.integers(min_value=2, max_value=8))
+    k = draw(st.one_of(st.sampled_from((1, m - 1)), st.integers(min_value=1, max_value=m - 1)))
+    weight = _WEIGHTS[draw(st.sampled_from(tuple(_WEIGHTS)))]
+    ballots = draw(st.lists(st.frozensets(st.integers(min_value=0, max_value=m - 1)),
+                            min_size=1, max_size=10))
+    if draw(st.booleans()):
+        ballots.append(frozenset())
+    classes = tuple(BallotClass(b, draw(weight)) for b in ballots)
+    election = Election(tuple(f"c{i}" for i in range(m)), classes, k)
+    committee = draw(st.permutations(range(m)))[:k]
+    steps = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, m - k - 1)),
+                          max_size=8))
+    return election, committee, steps
+
+
+def _check_levels(election, state):
+    """The level masks are disjoint, cover every class, and put each class
+    at its hit count."""
+    covered = 0
+    for h, mask in state.levels.items():
+        assert mask and not covered & mask
+        covered |= mask
+        for ci, bc in enumerate(election.ballot_classes):
+            if mask >> ci & 1:
+                assert len(bc.approves & state.committee) == h
+    assert covered == (1 << len(election.ballot_classes)) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walks())
+def test_engine_walk_matches_scratch_scores(walk):
+    """delta, apply_swap and score along a walk agree with pav_score
+    recomputed from scratch at every step."""
+    e, committee, steps = walk
+    state = SatisfactionState(e, committee)
+    current = frozenset(committee)
+    score = pav_score(e, current)
+    assert state.score() == score
+    _check_levels(e, state)
+    for i, j in steps:
+        a = sorted(current)[i]
+        b = [c for c in range(e.m) if c not in current][j]
+        nxt = (current - {a}) | {b}
+        new_score = pav_score(e, nxt)
+        assert delta(e, state, a, b) == new_score - score
+        apply_swap(state, Swap(a, b))
+        current, score = nxt, new_score
+        assert state.committee == current
+        assert state.score() == score
+        _check_levels(e, state)

@@ -7,6 +7,7 @@ from pavls import (
     BestResponse,
     Election,
     Epsilon,
+    InvalidStepCapError,
     LexicographicBetterResponse,
     Swap,
     pav_score,
@@ -88,6 +89,12 @@ def test_step_cap(fig1b):
                 LexicographicBetterResponse(), step_cap=0)
     assert not trace.terminated
     assert trace.swaps == 0
+
+
+def test_negative_step_cap_rejected(fig1b):
+    for rule in (LexicographicBetterResponse(), BestResponse()):
+        with pytest.raises(InvalidStepCapError):
+            run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), rule, step_cap=-5)
 
 
 def test_scripted_replay_success(fig1b):
