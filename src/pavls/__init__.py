@@ -11,6 +11,7 @@ from .core import (
     Election,
     Epsilon,
     InvalidCommitteeError,
+    InvalidElectionError,
     InvalidEpsilonError,
     InvalidSwapError,
     PavlsError,
@@ -49,6 +50,7 @@ from .constructions import (
     iter_z_sequence,
     layered_election,
     layered_initial_committee,
+    min_k_gain_search,
     warmup_election,
     warmup_initial_committee,
     warmup_sequence,
@@ -81,7 +83,6 @@ from .oracle import (
     OracleReport,
     brute_force_optimum,
     is_locally_optimal,
-    min_k_gain_search,
 )
 
 __version__ = "0.1.0"

@@ -23,8 +23,8 @@ from .harness import (
     select_initial_committee,
     write_outputs,
 )
-from .oracle import brute_force_optimum, is_locally_optimal, min_k_gain_search
-from .samplers import Euclidean, ImpartialCulture, Resampling, SamplerConfig, sample
+from .oracle import brute_force_optimum, is_locally_optimal
+from .samplers import MODELS, SamplerConfig, sample
 from .search import RULES, run as run_search
 
 
@@ -91,14 +91,23 @@ def _add_election_args(p: argparse.ArgumentParser, with_k: bool = True) -> None:
         p.add_argument("-k", type=int, help="committee size (overrides the file's)")
 
 
+def _add_model_args(p: argparse.ArgumentParser, required: bool) -> None:
+    # Each model reads its dataclass fields from the options of the same name.
+    p.add_argument("--model", choices=tuple(MODELS), required=required)
+    p.add_argument("-p", type=float, default=0.5, help="approval probability")
+    p.add_argument("--phi", type=float, default=0.5, help="resampling probability")
+    p.add_argument("-d", type=int, default=2, help="Euclidean dimension")
+    p.add_argument("-r", type=float, default=0.25, help="Euclidean radius")
+
+
+def _sampler_config(args, seed: int) -> SamplerConfig:
+    model = MODELS[args.model]
+    params = (getattr(args, name) for name in model.__dataclass_fields__)
+    return SamplerConfig(model(*params), args.n, args.m, seed)
+
+
 def _cmd_sample(args) -> int:
-    if args.model == "ic":
-        model = ImpartialCulture(args.p)
-    elif args.model == "resampling":
-        model = Resampling(args.p, args.phi)
-    else:
-        model = Euclidean(args.d, args.r)
-    election = sample(SamplerConfig(model=model, n=args.n, m=args.m, seed=args.seed))
+    election = sample(_sampler_config(args, args.seed))
     if args.k is not None:
         election = election.with_committee_size(args.k)
     text = serialize_native(election)
@@ -123,7 +132,7 @@ def _construct(args) -> tuple[cons.LabeledElection, Optional[list[Swap]], Option
         return cons.e_t_election(args.t, args.j, args.k), None, None
     params = cons.LayeredParams(levels=args.levels, k=args.k)
     if fam == "layered":
-        labeled = cons.layered_election(params, extra_dummy_voter=args.extra_dummy_voter)
+        labeled = cons.layered_election(params)
         seq = list(cons.iter_x_sequence(params, params.levels, 1))
     else:  # hardened
         hp = cons.HardenedParams(
@@ -197,12 +206,8 @@ def _cmd_run(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.election:
         source = _load_election(args)
-    elif args.model == "ic":
-        source = SamplerConfig(ImpartialCulture(args.p), args.n, args.m, 0)
-    elif args.model == "resampling":
-        source = SamplerConfig(Resampling(args.p, args.phi), args.n, args.m, 0)
-    elif args.model == "euclidean":
-        source = SamplerConfig(Euclidean(args.d, args.r), args.n, args.m, 0)
+    elif args.model:
+        source = _sampler_config(args, 0)
     else:
         print("need --election or --model", file=sys.stderr)
         return 2
@@ -242,7 +247,7 @@ def _cmd_oracle(args) -> int:
             print(f"witness: swap {witness.out_candidate} -> {witness.in_candidate}, "
                   f"gain {gain}")
         return 0 if flag else 1
-    report = min_k_gain_search(
+    report = cons.min_k_gain_search(
         range(args.k_min, args.k_max + 1), levels=args.levels
     )
     for entry in report.entries:
@@ -259,14 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample a synthetic election")
-    p.add_argument("--model", choices=("ic", "resampling", "euclidean"), required=True)
+    _add_model_args(p, required=True)
     p.add_argument("-n", type=int, required=True, help="voters")
     p.add_argument("-m", type=int, required=True, help="candidates")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-p", type=float, default=0.5, help="approval probability")
-    p.add_argument("--phi", type=float, default=0.5, help="resampling probability")
-    p.add_argument("-d", type=int, default=2, help="Euclidean dimension")
-    p.add_argument("-r", type=float, default=0.25, help="Euclidean radius")
     p.add_argument("-k", type=int, help="committee size to record")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(func=_cmd_sample)
@@ -279,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=int, default=1)
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--gamma", help="blocker sizing bound (fraction; default 8k^2(k+1))")
-    p.add_argument("--extra-dummy-voter", action="store_true",
-                   help="layered family: also add one voter approving the last dummy")
     p.add_argument("-o", "--output", help="election output file (default stdout)")
     p.add_argument("--labels-out", help="JSON sidecar with label maps")
     p.add_argument("--sequence-out", help="write the family's swap sequence")
@@ -307,13 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--election", help="fixed election file instead of a sampler")
     p.add_argument("--format", choices=("native", "preflib-cat"), default="native")
     p.add_argument("--approve-categories")
-    p.add_argument("--model", choices=("ic", "resampling", "euclidean"))
+    _add_model_args(p, required=False)
     p.add_argument("-n", type=int, default=100)
     p.add_argument("-m", type=int, default=20)
-    p.add_argument("-p", type=float, default=0.5)
-    p.add_argument("--phi", type=float, default=0.5)
-    p.add_argument("-d", type=int, default=2)
-    p.add_argument("-r", type=float, default=0.25)
     p.add_argument("--k-values", required=True, help="comma-separated committee sizes")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--rules", default=",".join(RULE_NAMES))

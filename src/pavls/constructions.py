@@ -18,7 +18,9 @@ Four instance families live here, in increasing order of machinery:
 
 All generators return a :class:`LabeledElection` whose label maps give
 by-name access to candidates and voter groups, and every generator
-finishes with a structural self-check.
+finishes with a structural self-check.  ``gain_holds`` and
+``min_k_gain_search`` check the layered election's validity inequality
+for one parameter set and scan it over base sizes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     BallotClass,
@@ -291,13 +293,17 @@ def e_election(j: int, k: int) -> LabeledElection:
 # Chained family E^t(j, k)
 
 
-def _et_ballots(t: int, j: int, k: int) -> tuple[list[tuple[frozenset[str], int]], dict[int, int]]:
-    """Ballots over names c1..c(t+1), x, y, d1..d(k-2), with the copy
-    index (1-based) attached, plus the merged counterpart map."""
+def _et_ballots(
+    chain: list[str], x: Iterable[str], y: Iterable[str], j: int, k: int
+) -> tuple[list[tuple[frozenset[str], int]], dict[int, int]]:
+    """Ballots of t = len(chain) - 1 chained copies of the e family over
+    the chain names, the forward flag names ``x``, the backward flag
+    names ``y`` and d1..d(k-2), with the copy index (1-based) attached,
+    plus the merged counterpart map."""
+    t = len(chain) - 1
     if t < 1:
         raise ConstructionError(f"e_t family needs t >= 1, got {t}")
     base, base_cp = _e_ballots(j, k)
-    chain = [f"c{q}" for q in range(1, t + 2)]
     out: list[tuple[frozenset[str], int]] = []
     counterpart: dict[int, int] = {}
     for i in range(1, t + 1):
@@ -306,17 +312,14 @@ def _et_ballots(t: int, j: int, k: int) -> tuple[list[tuple[frozenset[str], int]
         # its backward-direction voters the shared y; this keeps each
         # restricted copy isomorphic to the atomic family with x seated
         # exactly when the ascending direction is the improving one.
-        rename = {"a": f"c{i}", "b": f"c{i + 1}"}
+        # Clone closure: a voter of copy i approves the whole lower
+        # segment c1..ci or upper segment c(i+1)..c(t+1), never part of one.
+        rename = {"a": chain[:i], "b": chain[i:], "x": x, "y": y}
         for ballot in base:
-            named = frozenset(rename.get(name, name) for name in ballot)
-            # Clone closure: a voter of copy i approves the whole lower
-            # or upper chain segment, never part of one.
-            closed = set(named)
-            if f"c{i}" in named:
-                closed.update(chain[:i])
-            if f"c{i + 1}" in named:
-                closed.update(chain[i:])
-            out.append((frozenset(closed), i))
+            named: set[str] = set()
+            for name in ballot:
+                named.update(rename.get(name, (name,)))
+            out.append((frozenset(named), i))
         for v, w in base_cp.items():
             counterpart[offset + v] = offset + w
     return out, counterpart
@@ -325,10 +328,11 @@ def _et_ballots(t: int, j: int, k: int) -> tuple[list[tuple[frozenset[str], int]
 def e_t_election(t: int, j: int, k: int) -> LabeledElection:
     """t chained copies of the e family sharing the candidate chain
     c1..c(t+1) and the direction flags x, y."""
-    ballots, counterpart = _et_ballots(t, j, k)
+    chain = [f"c{q}" for q in range(1, t + 2)]
+    ballots, counterpart = _et_ballots(chain, {"x"}, {"y"}, j, k)
     b = _Builder()
-    for q in range(1, t + 2):
-        b.add_candidate(f"c{q}")
+    for name in chain:
+        b.add_candidate(name)
     b.add_candidate("x")
     b.add_candidate("y")
     for i in range(1, k - 1):
@@ -403,50 +407,34 @@ def layered_initial_committee(params: LayeredParams) -> frozenset[int]:
     return frozenset(members)
 
 
-def layered_election(params: LayeredParams, extra_dummy_voter: bool = False) -> LabeledElection:
+def layered_election(params: LayeredParams) -> LabeledElection:
     """One chained column per level, with each column's direction flags
     replaced by the parity classes of the next column.
 
     The last column's forward flag is identified with the dummy
-    candidate d_{k2}.  ``extra_dummy_voter`` selects the alternative
-    reading in which one extra unit-weight voter approving d_{k2} is
-    added as well.
+    candidate d_{k2}, and its backward flag with no candidate.
     """
-    return _layered_builder(params, extra_dummy_voter).build(params.k)
+    return _layered_builder(params).build(params.k)
 
 
-def _layered_builder(params: LayeredParams, extra_dummy_voter: bool) -> _Builder:
+def _layered_builder(params: LayeredParams) -> _Builder:
     """The layered election's candidates and classes, not yet frozen."""
     t, k2, levels = params.t, params.k2, params.levels
+    columns = [[f"c[{i},{q}]" for q in range(1, t + 2)] for i in range(1, levels + 1)]
     b = _Builder()
-    for i in range(1, levels + 1):
-        for q in range(1, t + 2):
-            b.add_candidate(f"c[{i},{q}]")
+    for chain in columns:
+        for name in chain:
+            b.add_candidate(name)
     for i in range(1, k2 + 1):
         b.add_candidate(f"d{i}")
-
-    for i in range(1, levels + 1):
-        column, _ = _et_ballots(t, params.level_arity(i), k2 + 1)
-        if i < levels:
-            forward = frozenset(f"c[{i + 1},{q}]" for q in range(1, t + 2, 2))
-            backward = frozenset(f"c[{i + 1},{q}]" for q in range(2, t + 2, 2))
+    for i, chain in enumerate(columns, start=1):
+        if i < levels:  # the next column's odd and even positions
+            forward, backward = columns[i][0::2], columns[i][1::2]
         else:
-            forward = frozenset({f"d{k2}"})
-            backward = frozenset()
-        for ballot, _copy in column:
-            rewired = set()
-            for name in ballot:
-                if name == "x":
-                    rewired |= forward
-                elif name == "y":
-                    rewired |= backward
-                elif name.startswith("c"):
-                    rewired.add(f"c[{i},{name[1:]}]")
-                else:
-                    rewired.add(name)
-            b.add_class(frozenset(rewired), 1, f"N{i}")
-    if extra_dummy_voter:
-        b.add_class(frozenset({f"d{k2}"}), 1, "extra")
+            forward, backward = [f"d{k2}"], []
+        ballots, _ = _et_ballots(chain, forward, backward, params.level_arity(i), k2 + 1)
+        for ballot, _copy in ballots:
+            b.add_class(ballot, 1, f"N{i}")
     return b
 
 
@@ -470,6 +458,47 @@ def gain_holds(params: LayeredParams) -> GainReport:
         levels[i] = lhs > rhs
         margins[i] = (lhs, rhs)
     return GainReport(levels=levels, margins=margins, passed=all(levels.values()))
+
+
+@dataclass
+class GainSearchEntry:
+    k: int
+    levels: Optional[int]  # None: params invalid at this k
+    outcome: str  # "pass" | "fail" | "invalid"
+    margins: dict[int, tuple[Fraction, Fraction]]
+
+
+@dataclass
+class GainSearchReport:
+    entries: list[GainSearchEntry]
+    first_pass: Optional[int]
+
+
+def min_k_gain_search(
+    k_range: Iterable[int], levels: Optional[int] = None
+) -> GainSearchReport:
+    """Scan k ascending for the first k where the layered gain
+    inequality holds at every level.
+
+    ``levels=None`` uses the asymptotic rule ceil(log2 k) per k; a
+    fixed integer pins the level count.  Monotonicity is not assumed:
+    every k's outcome is reported individually.
+    """
+    entries: list[GainSearchEntry] = []
+    first_pass: Optional[int] = None
+    for k in sorted(set(k_range)):
+        lv = levels if levels is not None else LayeredParams.asymptotic_levels(k)
+        try:
+            params = LayeredParams(levels=lv, k=k)
+        except ConstructionError:
+            entries.append(GainSearchEntry(k=k, levels=None, outcome="invalid", margins={}))
+            continue
+        report = gain_holds(params)
+        outcome = "pass" if report.passed else "fail"
+        entries.append(GainSearchEntry(k=k, levels=lv, outcome=outcome, margins=report.margins))
+        if outcome == "pass" and first_pass is None:
+            first_pass = k
+    return GainSearchReport(entries=entries, first_pass=first_pass)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +588,7 @@ def hardened_election(hp: HardenedParams) -> LabeledElection:
             f"{[i for i, ok in report.levels.items() if not ok]}; "
             "hardened instance would not certify"
         )
-    b = _layered_builder(params, extra_dummy_voter=False)
+    b = _layered_builder(params)
     weight = hp.blocker_weight
     for i in range(1, params.levels + 1):
         column = frozenset(f"c[{i},{q}]" for q in range(1, params.t + 2))

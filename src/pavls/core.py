@@ -36,6 +36,10 @@ class InvalidEpsilonError(PavlsError):
     pass
 
 
+class InvalidElectionError(PavlsError, ValueError):
+    """An election or ballot class that cannot exist (also a ValueError)."""
+
+
 def harmonic(t: int) -> Fraction:
     """Exact t-th harmonic number 1 + 1/2 + ... + 1/t, with harmonic(0) == 0."""
     if t < 0:
@@ -77,7 +81,7 @@ class BallotClass:
 
     def __post_init__(self):
         if self.weight < 1:
-            raise ValueError(f"ballot class weight must be positive, got {self.weight}")
+            raise InvalidElectionError(f"ballot class weight must be positive, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,18 @@ class Election:
         object.__setattr__(self, "ballot_classes", tuple(self.ballot_classes))
         m = len(self.candidate_names)
         if m < 1:
-            raise ValueError("election needs at least one candidate")
+            raise InvalidElectionError("election needs at least one candidate")
         if len(set(self.candidate_names)) != m:
-            raise ValueError("candidate names must be distinct")
+            raise InvalidElectionError("candidate names must be distinct")
         if not self.ballot_classes:
-            raise ValueError("election needs at least one ballot class")
+            raise InvalidElectionError("election needs at least one ballot class")
         for bc in self.ballot_classes:
             bad = [c for c in bc.approves if not 0 <= c < m]
             if bad:
-                raise ValueError(f"ballot entry out of range: {bad[0]} (m={m})")
+                raise InvalidElectionError(f"ballot entry out of range: {bad[0]} (m={m})")
         k = self.committee_size
         if k is not None and not 1 <= k <= m:
-            raise ValueError(f"committee size {k} not in [1, {m}]")
+            raise InvalidElectionError(f"committee size {k} not in [1, {m}]")
 
     @property
     def m(self) -> int:

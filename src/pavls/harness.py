@@ -4,7 +4,8 @@ An experiment is a pure function of its config.  The seed schedule is
 part of the contract: repetition ``rep`` at the ``ki``-th committee
 size runs with seed ``base_seed * 1_000_003 + (ki * repetitions + rep)``,
 so repetitions are independent and reproducible regardless of execution
-order.
+order.  A config with more than 1_000_003 cells is rejected, since its
+seeds would run into those of the next base seed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ class HarnessError(PavlsError):
     pass
 
 
+SEED_STRIDE = 1_000_003
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Source is either a sampler config (resampled per repetition with
@@ -56,6 +60,12 @@ class ExperimentConfig:
             raise HarnessError("need at least one committee size")
         if self.repetitions < 1:
             raise HarnessError(f"repetitions must be >= 1, got {self.repetitions}")
+        cells = len(self.k_values) * self.repetitions
+        if cells > SEED_STRIDE:
+            raise HarnessError(
+                f"{cells} (k, repetition) cells exceed {SEED_STRIDE}; their seeds "
+                "would collide with those of the next base seed"
+            )
         bad = [r for r in self.rules if r not in RULE_NAMES]
         if bad:
             raise HarnessError(f"unknown rule {bad[0]!r}; choose from {RULE_NAMES}")
@@ -86,7 +96,7 @@ def select_initial_committee(election: Election) -> frozenset[int]:
 
 
 def run_seed(base_seed: int, k_index: int, repetitions: int, rep: int) -> int:
-    return base_seed * 1_000_003 + (k_index * repetitions + rep)
+    return base_seed * SEED_STRIDE + (k_index * repetitions + rep)
 
 
 @dataclass

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .constructions import ConstructionError, LayeredParams, gain_holds
 from .core import Election, Epsilon, PavlsError, Swap, pav_score, validate_committee
 
 
@@ -70,44 +69,3 @@ def is_locally_optimal(
             if gain >= epsilon.value:
                 return False, Swap(a, b), gain
     return True, None, None
-
-
-@dataclass
-class GainSearchEntry:
-    k: int
-    levels: Optional[int]  # None: params invalid at this k
-    outcome: str  # "pass" | "fail" | "invalid"
-    margins: dict[int, tuple[Fraction, Fraction]]
-
-
-@dataclass
-class GainSearchReport:
-    entries: list[GainSearchEntry]
-    first_pass: Optional[int]
-
-
-def min_k_gain_search(
-    k_range: Iterable[int], levels: Optional[int] = None
-) -> GainSearchReport:
-    """Scan k ascending for the first k where the layered gain
-    inequality holds at every level.
-
-    ``levels=None`` uses the asymptotic rule ceil(log2 k) per k; a
-    fixed integer pins the level count.  Monotonicity is not assumed:
-    every k's outcome is reported individually.
-    """
-    entries: list[GainSearchEntry] = []
-    first_pass: Optional[int] = None
-    for k in sorted(set(k_range)):
-        lv = levels if levels is not None else LayeredParams.asymptotic_levels(k)
-        try:
-            params = LayeredParams(levels=lv, k=k)
-        except ConstructionError:
-            entries.append(GainSearchEntry(k=k, levels=None, outcome="invalid", margins={}))
-            continue
-        report = gain_holds(params)
-        outcome = "pass" if report.passed else "fail"
-        entries.append(GainSearchEntry(k=k, levels=lv, outcome=outcome, margins=report.margins))
-        if outcome == "pass" and first_pass is None:
-            first_pass = k
-    return GainSearchReport(entries=entries, first_pass=first_pass)

@@ -1,9 +1,11 @@
 """Synthetic approval election samplers.
 
-Three models: impartial culture, resampling around a central ballot,
-and Euclidean proximity.  All are deterministic functions of their
-config (including the seed); the generator is `random.Random`, i.e.
-the Mersenne Twister, which is documented, seedable, and stable across
+Three models, named in ``MODELS``: impartial culture, resampling
+around a central ballot, and Euclidean proximity.  Each model's
+``ballots(rng, n, m)`` draws one ballot per voter; ``sample`` is the
+only entry point.  All are deterministic functions of their config
+(including the seed); the generator is `random.Random`, i.e. the
+Mersenne Twister, which is documented, seedable, and stable across
 platforms and Python versions.
 
 Sampled elections carry no committee size; callers attach one.
@@ -33,6 +35,9 @@ class ImpartialCulture:
         if not 0 <= self.p <= 1:
             raise SamplerError(f"approval probability must be in [0, 1], got {self.p}")
 
+    def ballots(self, rng: random.Random, n: int, m: int) -> list[frozenset[int]]:
+        return [frozenset(c for c in range(m) if rng.random() < self.p) for _ in range(n)]
+
 
 @dataclass(frozen=True)
 class Resampling:
@@ -49,6 +54,20 @@ class Resampling:
         if not 0 <= self.phi <= 1:
             raise SamplerError(f"resampling probability must be in [0, 1], got {self.phi}")
 
+    def ballots(self, rng: random.Random, n: int, m: int) -> list[frozenset[int]]:
+        central = set(rng.sample(range(m), int(self.p * m)))
+        ballots = []
+        for _ in range(n):
+            approved = set()
+            for c in range(m):
+                if rng.random() < self.phi:
+                    if rng.random() < self.p:
+                        approved.add(c)
+                elif c in central:
+                    approved.add(c)
+            ballots.append(frozenset(approved))
+        return ballots
+
 
 @dataclass(frozen=True)
 class Euclidean:
@@ -64,8 +83,18 @@ class Euclidean:
         if not self.r > 0:
             raise SamplerError(f"radius must be positive, got {self.r}")
 
+    def ballots(self, rng: random.Random, n: int, m: int) -> list[frozenset[int]]:
+        dims = range(self.d)
+        voters = [tuple(rng.random() for _ in dims) for _ in range(n)]
+        cands = [tuple(rng.random() for _ in dims) for _ in range(m)]
+        return [
+            frozenset(c for c, pos in enumerate(cands) if math.dist(v, pos) < self.r)
+            for v in voters
+        ]
+
 
 Model = Union[ImpartialCulture, Resampling, Euclidean]
+MODELS: dict[str, type] = {"ic": ImpartialCulture, "resampling": Resampling, "euclidean": Euclidean}
 
 
 @dataclass(frozen=True)
@@ -76,73 +105,18 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.model, tuple(MODELS.values())):
+            raise SamplerError(f"unknown sampler model: {self.model!r}")
         if self.n < 1 or self.m < 1:
             raise SamplerError(f"need n, m >= 1, got n={self.n}, m={self.m}")
 
 
-def _candidate_names(m: int) -> tuple[str, ...]:
-    return tuple(f"c{i}" for i in range(1, m + 1))
-
-
-def _pack(ballots: list[frozenset[int]], m: int) -> Election:
-    # One class per voter, in sampling order; no merging, so voter
-    # indices in the sampled election are stable.
-    classes = tuple(BallotClass(ballot, 1) for ballot in ballots)
-    return Election(_candidate_names(m), classes, None)
-
-
-def sample_ic(config: SamplerConfig) -> Election:
-    model = config.model
-    if not isinstance(model, ImpartialCulture):
-        raise SamplerError(f"sample_ic needs an ImpartialCulture model, got {model!r}")
-    rng = random.Random(config.seed)
-    ballots = [
-        frozenset(c for c in range(config.m) if rng.random() < model.p)
-        for _ in range(config.n)
-    ]
-    return _pack(ballots, config.m)
-
-
-def sample_resampling(config: SamplerConfig) -> Election:
-    model = config.model
-    if not isinstance(model, Resampling):
-        raise SamplerError(f"sample_resampling needs a Resampling model, got {model!r}")
-    rng = random.Random(config.seed)
-    central = set(rng.sample(range(config.m), int(model.p * config.m)))
-    ballots = []
-    for _ in range(config.n):
-        approved = set()
-        for c in range(config.m):
-            if rng.random() < model.phi:
-                if rng.random() < model.p:
-                    approved.add(c)
-            elif c in central:
-                approved.add(c)
-        ballots.append(frozenset(approved))
-    return _pack(ballots, config.m)
-
-
-def sample_euclidean(config: SamplerConfig) -> Election:
-    model = config.model
-    if not isinstance(model, Euclidean):
-        raise SamplerError(f"sample_euclidean needs a Euclidean model, got {model!r}")
-    rng = random.Random(config.seed)
-    dims = range(model.d)
-    voters = [tuple(rng.random() for _ in dims) for _ in range(config.n)]
-    cands = [tuple(rng.random() for _ in dims) for _ in range(config.m)]
-    ballots = [
-        frozenset(c for c, pos in enumerate(cands) if math.dist(v, pos) < model.r)
-        for v in voters
-    ]
-    return _pack(ballots, config.m)
-
-
 def sample(config: SamplerConfig) -> Election:
-    """Dispatch on the config's model."""
-    if isinstance(config.model, ImpartialCulture):
-        return sample_ic(config)
-    if isinstance(config.model, Resampling):
-        return sample_resampling(config)
-    if isinstance(config.model, Euclidean):
-        return sample_euclidean(config)
-    raise SamplerError(f"unknown sampler model: {config.model!r}")
+    """Draw the config's election: one class per voter, in sampling
+    order and never merged, so voter indices are stable."""
+    ballots = config.model.ballots(random.Random(config.seed), config.n, config.m)
+    return Election(
+        tuple(f"c{i}" for i in range(1, config.m + 1)),
+        tuple(BallotClass(ballot, 1) for ballot in ballots),
+        None,
+    )

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavls import Epsilon, parse_native, pav_score, validate_sequence
 from pavls.cli import main
@@ -183,6 +188,59 @@ def test_negative_step_cap_exit_code(tmp_path, capsys, fig1b):
     e_path.write_text(serialize_native(fig1b))
     _assert_input_error(
         capsys, ["run", "--election", str(e_path), "--step-cap", "-1"], "step cap")
+
+
+def test_committee_size_out_of_range_exit_code(tmp_path, capsys, fig1b):
+    e_path = tmp_path / "fig1b.pavls"
+    e_path.write_text(serialize_native(fig1b))
+    for k in ("0", "99"):
+        _assert_input_error(
+            capsys, ["run", "--election", str(e_path), "-k", k], "committee size")
+    _assert_input_error(
+        capsys, ["sample", "--model", "ic", "-n", "5", "-m", "3", "-k", "0"], "committee size")
+
+
+def test_too_many_seeds_exit_code(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    _assert_input_error(
+        capsys, ["experiment", "--model", "ic", "--k-values", "1", "--reps", "1000004",
+                 "--out", str(out_dir)], "collide")
+    assert not out_dir.exists()
+
+
+def _exit_code(argv):
+    """main's exit code, with argparse's usage errors counted as exit 2;
+    any other exception propagates and fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+_EPSILONS = ("zero-plus", "threshold", "1", "5/2", "1e-3", "0", "-1", "1/0", "abc", "nan", "")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 6), m=st.integers(0, 6), k=st.none() | st.integers(0, 7),
+    p=st.floats(0, 1) | st.floats(-1, 2) | st.just(float("nan")),
+    run_k=st.none() | st.integers(0, 7), step_cap=st.none() | st.integers(-1, 4),
+    epsilon=st.sampled_from(_EPSILONS), rule=st.sampled_from(("lex-better", "best")),
+)
+def test_sample_and_run_exit_codes(n, m, k, p, run_k, step_cap, epsilon, rule):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.pavls")
+        argv = ["sample", "--model", "ic", f"-n={n}", f"-m={m}", f"-p={p}", "-o", path]
+        assert _exit_code(argv + ([f"-k={k}"] if k is not None else [])) in (0, 2)
+        if not os.path.exists(path):  # the drawn sample was rejected; run a valid one
+            assert _exit_code(["sample", "--model", "ic", "-n=4", "-m=5", "-o", path]) == 0
+        argv = ["run", "--election", path, "--rule", rule, f"--epsilon={epsilon}"]
+        if run_k is not None:
+            argv.append(f"-k={run_k}")
+        if step_cap is not None:
+            argv.append(f"--step-cap={step_cap}")
+        assert _exit_code(argv) in (0, 1, 2)
 
 
 def test_python_dash_m_entry_point():

@@ -202,13 +202,17 @@ def test_layered_candidate_count():
             assert sum(lab.election.weights[ci] for ci in members) == p.t * 2 ** p.level_arity(i)
 
 
-def test_layered_extra_dummy_voter_flag():
+def test_layered_last_column_forward_flag():
+    # The last column's forward flag is d_{k2}; no voter outside the
+    # columns approves it, and the backward flag names no candidate.
     p = LayeredParams(2, 21)
-    base = layered_election(p)
-    extra = layered_election(p, extra_dummy_voter=True)
-    assert extra.election.n == base.election.n + 1
-    added = extra.election.ballot_classes[-1]
-    assert added.approves == frozenset({extra.candidate(f"d{p.k2}")})
+    lab = layered_election(p)
+    assert set(lab.voter_groups) == {"N1", "N2"}
+    last = lab.voter_groups[f"N{p.levels}"]
+    d_last = lab.candidate(f"d{p.k2}")
+    with_flag = {ci for ci, bc in enumerate(lab.election.ballot_classes) if d_last in bc.approves}
+    assert with_flag and with_flag <= last
+    assert len(with_flag) * 2 == len(last)  # the forward half of every copy
 
 
 def test_gain_holds_report():

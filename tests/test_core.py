@@ -11,8 +11,10 @@ from pavls import (
     Election,
     Epsilon,
     InvalidCommitteeError,
+    InvalidElectionError,
     InvalidEpsilonError,
     InvalidSwapError,
+    PavlsError,
     Swap,
     delta,
     harmonic,
@@ -55,6 +57,10 @@ def test_election_validation():
         Election(("a", "b"), (BallotClass(frozenset({0}), 1),), 3)
     with pytest.raises(ValueError):
         BallotClass(frozenset(), 0)
+    # Also a PavlsError, so the CLI reports it as an input error (exit 2).
+    assert issubclass(InvalidElectionError, PavlsError)
+    with pytest.raises(InvalidElectionError, match="committee size 0"):
+        Election(("a", "b"), (BallotClass(frozenset({0}), 1),), 0)
 
 
 def test_committee_size_plumbing():

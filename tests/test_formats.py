@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavls import (
     BallotClass,
@@ -13,11 +15,32 @@ from pavls import (
     write_csv,
 )
 
+
 def test_native_round_trip(fig1b):
     text = serialize_native(fig1b)
     assert parse_native(text) == fig1b
     assert serialize_native(parse_native(text)) == text
     assert pav_score(parse_native(text), {0, 1, 2}) == Fraction(308, 3)
+
+
+@st.composite
+def _elections(draw):
+    # Names are whitespace-free tokens: a ``cand`` line keeps the name
+    # after its index, stripped.
+    token = st.text(st.characters(whitelist_categories=("L", "N", "P", "S")), min_size=1, max_size=6)
+    names = draw(st.lists(token, min_size=1, max_size=6, unique=True))
+    m = len(names)
+    ballot = st.frozensets(st.integers(0, m - 1))
+    classes = draw(st.lists(
+        st.builds(BallotClass, ballot, st.integers(1, 2**70)), min_size=1, max_size=6))
+    k = draw(st.none() | st.integers(1, m))
+    return Election(tuple(names), tuple(classes), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_elections())
+def test_native_round_trip_random(e):
+    assert parse_native(serialize_native(e)) == e
 
 
 def test_native_unset_committee_size():

@@ -99,6 +99,19 @@ def test_seed_schedule():
     assert run_seed(3, 2, 10, 4) == 3 * 1_000_003 + 24
 
 
+def test_seed_schedule_cell_limit():
+    # 1_000_003 cells: base seed b's last seed is b * 1_000_003 + 1_000_002,
+    # one below base b + 1's first; one more cell would collide.
+    source = SamplerConfig(ImpartialCulture(0.5), 10, 5, 0)
+    config = ExperimentConfig(source, (2,), repetitions=1_000_003)
+    assert run_seed(4, 0, 1_000_003, 1_000_002) + 1 == run_seed(5, 0, 1_000_003, 0)
+    assert config.repetitions == 1_000_003
+    with pytest.raises(HarnessError, match="collide"):
+        ExperimentConfig(source, (2, 3), repetitions=500_002)
+    with pytest.raises(HarnessError, match="collide"):
+        ExperimentConfig(source, (2,), repetitions=1_000_004)
+
+
 def test_experiment_deterministic(tmp_path):
     config = ExperimentConfig(
         source=SamplerConfig(ImpartialCulture(0.5), 30, 8, 0),

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +85,24 @@ def test_gain_search_reports_margins():
     (entry,) = report.entries
     lhs, rhs = entry.margins[2]
     assert lhs > rhs
+
+
+def test_oracle_imports_only_core():
+    # The oracle is the engine's independent reference: it must not pull
+    # in search, constructions or the incremental engine around them.
+    import pavls.oracle
+
+    tree = ast.parse(Path(pavls.oracle.__file__).read_text())
+    relative = {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    absolute = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    }
+    assert relative == {"core"}
+    assert not any(name == "pavls" or name.startswith("pavls.") for name in absolute)

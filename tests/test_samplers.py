@@ -11,7 +11,7 @@ from pavls import (
     SamplerError,
     sample,
 )
-from pavls.samplers import sample_euclidean, sample_ic, sample_resampling
+from pavls.samplers import MODELS
 
 
 def test_parameter_validation():
@@ -28,12 +28,16 @@ def test_parameter_validation():
 
 
 def test_dispatch_checks_model():
+    with pytest.raises(SamplerError):
+        SamplerConfig("resampling", 5, 5, 1)
+    with pytest.raises(SamplerError):
+        SamplerConfig(None, 5, 5, 1)
     config = SamplerConfig(ImpartialCulture(0.5), 5, 5, 1)
-    with pytest.raises(SamplerError):
-        sample_resampling(config)
-    with pytest.raises(SamplerError):
-        sample_euclidean(config)
     assert sample(config).n == 5
+
+
+def test_models_table():
+    assert MODELS == {"ic": ImpartialCulture, "resampling": Resampling, "euclidean": Euclidean}
 
 
 def test_determinism():
