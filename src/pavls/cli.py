@@ -23,7 +23,7 @@ from .harness import (
     select_initial_committee,
     write_outputs,
 )
-from .oracle import brute_force_optimum, is_locally_optimal
+from .oracle import DEFAULT_ENUMERATION_CAP, brute_force_optimum, is_locally_optimal
 from .samplers import MODELS, SamplerConfig, sample
 from .search import RULES, run as run_search
 
@@ -43,15 +43,16 @@ def _read_text(path: str) -> str:
 
 
 def _load_election(args) -> Election:
+    if args.election is None:
+        raise PavlsError(f"{args.command} needs --election")
     text = _read_text(args.election)
-    if getattr(args, "format", "native") == "preflib-cat":
+    if args.format == "preflib-cat":
         cats = set(_parse_int_list(args.approve_categories or "1"))
         election = parse_preflib_categorical(text, cats)
     else:
         election = parse_native(text)
-    k = getattr(args, "k", None)
-    if k is not None:
-        election = election.with_committee_size(k)
+    if args.k is not None:
+        election = election.with_committee_size(args.k)
     return election
 
 
@@ -79,8 +80,11 @@ def _write_sequence(path: str, seq: list[Swap]) -> None:
     )
 
 
-def _add_election_args(p: argparse.ArgumentParser, with_k: bool = True) -> None:
-    p.add_argument("--election", required=True, help="election file")
+def _add_election_args(
+    p: argparse.ArgumentParser, required: bool = True, with_k: bool = True
+) -> None:
+    """The election input options and the epsilon selector."""
+    p.add_argument("--election", required=required, help="election file")
     p.add_argument("--format", choices=("native", "preflib-cat"), default="native")
     p.add_argument(
         "--approve-categories",
@@ -89,6 +93,8 @@ def _add_election_args(p: argparse.ArgumentParser, with_k: bool = True) -> None:
     )
     if with_k:
         p.add_argument("-k", type=int, help="committee size (overrides the file's)")
+    p.add_argument("--epsilon", default="zero-plus",
+                   help="zero-plus | threshold | a fraction like 28/3")
 
 
 def _add_model_args(p: argparse.ArgumentParser, required: bool) -> None:
@@ -118,6 +124,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _gamma(text: Optional[str]) -> Optional[Fraction]:
+    if not text:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise cons.ConstructionError(f"gamma must be a fraction, got {text!r}") from None
+
+
 def _construct(args) -> tuple[cons.LabeledElection, Optional[list[Swap]], Optional[frozenset[int]]]:
     fam = args.family
     if fam == "warmup":
@@ -126,8 +141,7 @@ def _construct(args) -> tuple[cons.LabeledElection, Optional[list[Swap]], Option
     if fam == "f":
         return cons.f_election(args.j, args.k), None, None
     if fam == "e":
-        labeled = cons.e_election(args.j, args.k)
-        return labeled, None, None
+        return cons.e_election(args.j, args.k), None, None
     if fam == "et":
         return cons.e_t_election(args.t, args.j, args.k), None, None
     params = cons.LayeredParams(levels=args.levels, k=args.k)
@@ -135,16 +149,17 @@ def _construct(args) -> tuple[cons.LabeledElection, Optional[list[Swap]], Option
         labeled = cons.layered_election(params)
         seq = list(cons.iter_x_sequence(params, params.levels, 1))
     else:  # hardened
-        hp = cons.HardenedParams(
-            params, Fraction(args.gamma) if args.gamma else None
-        )
-        labeled = cons.hardened_election(hp)
+        labeled = cons.hardened_election(cons.HardenedParams(params, _gamma(args.gamma)))
         seq = list(cons.iter_z_sequence(params, params.levels, 1))
     return labeled, seq, cons.layered_initial_committee(params)
 
 
 def _cmd_construct(args) -> int:
     labeled, seq, initial = _construct(args)
+    if args.sequence_out and seq is None:
+        raise PavlsError(f"family {args.family!r} has no associated sequence")
+    if args.initial_out and initial is None:
+        raise PavlsError(f"family {args.family!r} has no associated committee")
     text = serialize_native(labeled.election)
     if args.output:
         Path(args.output).write_text(text)
@@ -158,14 +173,8 @@ def _cmd_construct(args) -> int:
         }
         Path(args.labels_out).write_text(json.dumps(sidecar, indent=2) + "\n")
     if args.sequence_out:
-        if seq is None:
-            print(f"family {args.family!r} has no associated sequence", file=sys.stderr)
-            return 2
         _write_sequence(args.sequence_out, seq)
     if args.initial_out:
-        if initial is None:
-            print(f"family {args.family!r} has no associated committee", file=sys.stderr)
-            return 2
         Path(args.initial_out).write_text(" ".join(map(str, sorted(initial))) + "\n")
     return 0
 
@@ -209,8 +218,7 @@ def _cmd_experiment(args) -> int:
     elif args.model:
         source = _sampler_config(args, 0)
     else:
-        print("need --election or --model", file=sys.stderr)
-        return 2
+        raise PavlsError("experiment needs --election or --model")
     config = ExperimentConfig(
         source=source,
         k_values=tuple(_parse_int_list(args.k_values)),
@@ -239,6 +247,8 @@ def _cmd_oracle(args) -> int:
         return 0
     if args.mode == "local-opt":
         election = _load_election(args)
+        if args.committee is None:
+            raise PavlsError("--mode local-opt needs --committee")
         eps = Epsilon.resolve(args.epsilon, election)
         committee = _parse_int_list(args.committee)
         flag, witness, gain = is_locally_optimal(election, committee, eps)
@@ -290,42 +300,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_election_args(p)
     p.add_argument("--initial", required=True, help="start committee file")
     p.add_argument("--sequence", required=True, help="swap file, one 'out in' pair per line")
-    p.add_argument("--epsilon", default="zero-plus",
-                   help="zero-plus | threshold | a fraction like 28/3")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("run", help="run local search on an election")
     _add_election_args(p)
     p.add_argument("--initial", help="start committee file (default: max approval)")
     p.add_argument("--rule", choices=RULE_NAMES, default="lex-better")
-    p.add_argument("--epsilon", default="zero-plus")
     p.add_argument("--step-cap", type=int)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("experiment", help="run a seeded experiment grid")
-    p.add_argument("--election", help="fixed election file instead of a sampler")
-    p.add_argument("--format", choices=("native", "preflib-cat"), default="native")
-    p.add_argument("--approve-categories")
+    _add_election_args(p, required=False, with_k=False)
     _add_model_args(p, required=False)
     p.add_argument("-n", type=int, default=100)
     p.add_argument("-m", type=int, default=20)
     p.add_argument("--k-values", required=True, help="comma-separated committee sizes")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--rules", default=",".join(RULE_NAMES))
-    p.add_argument("--epsilon", default="zero-plus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment, k=None)
 
     p = sub.add_parser("oracle", help="brute-force checks and searches")
     p.add_argument("--mode", choices=("optimum", "local-opt", "gain-search"), required=True)
-    p.add_argument("--election")
-    p.add_argument("--format", choices=("native", "preflib-cat"), default="native")
-    p.add_argument("--approve-categories")
-    p.add_argument("-k", type=int)
+    _add_election_args(p, required=False)
     p.add_argument("--committee", help="comma-separated candidate indices")
-    p.add_argument("--epsilon", default="zero-plus")
-    p.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap")
     p.add_argument("--k-min", type=int, default=4)
     p.add_argument("--k-max", type=int, default=64)
     p.add_argument("--levels", type=int, help="fixed level count (default: ceil(log2 k))")

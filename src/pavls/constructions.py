@@ -70,25 +70,19 @@ class LabeledElection:
     def committee(self, *labels: str) -> frozenset[int]:
         return frozenset(self.candidate_labels[name] for name in labels)
 
-    def group(self, name: str) -> frozenset[int]:
-        return self.voter_groups[name]
-
 
 class _Builder:
-    """Accumulates name-keyed candidates and ballots, then freezes."""
+    """Name-keyed candidates, in index order, plus accumulated ballots;
+    freezes into a LabeledElection."""
 
-    def __init__(self):
-        self.candidates: list[str] = []
+    def __init__(self, candidates: Iterable[str]):
+        self.candidates = list(candidates)
         self.index: dict[str, int] = {}
+        for idx, name in enumerate(self.candidates):
+            if self.index.setdefault(name, idx) != idx:
+                raise ConstructionError(f"duplicate candidate label {name!r}")
         self.classes: list[tuple[frozenset[str], int]] = []
         self.groups: dict[str, list[int]] = {}
-
-    def add_candidate(self, name: str) -> int:
-        if name in self.index:
-            raise ConstructionError(f"duplicate candidate label {name!r}")
-        self.index[name] = len(self.candidates)
-        self.candidates.append(name)
-        return self.index[name]
 
     def add_class(self, ballot: frozenset[str], weight: int, group: str) -> int:
         idx = len(self.classes)
@@ -132,8 +126,13 @@ def _self_check(labeled: LabeledElection) -> None:
                 raise ConstructionError("counterpart map is not a fixed-point-free involution")
 
 
-def _dummies(count: int) -> frozenset[str]:
-    return frozenset(f"d{i}" for i in range(1, count + 1))
+def _dummies(count: int) -> list[str]:
+    return [f"d{i}" for i in range(1, count + 1)]
+
+
+def _rename(ballot: frozenset[str], names: dict[str, Iterable[str]]) -> frozenset[str]:
+    """Replace each name that ``names`` maps by the names it maps to."""
+    return frozenset(new for name in ballot for new in names.get(name, (name,)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +166,11 @@ def warmup_election(k: int) -> LabeledElection:
     if k < 4:
         raise ConstructionError(f"warmup family needs k >= 4, got {k}")
     t = k // 4
-    b = _Builder()
-    for i in range(1, t + 2):
-        b.add_candidate(f"c[1,{i}]")
-    for j in range(1, k + 1):
-        b.add_candidate(f"c[2,{j}]")
-    for i in range(1, k - 1):
-        b.add_candidate(f"d{i}")
-
+    b = _Builder(
+        [f"c[1,{i}]" for i in range(1, t + 2)]
+        + [f"c[2,{j}]" for j in range(1, k + 1)]
+        + _dummies(k - 2)
+    )
     even_c2 = frozenset(f"c[2,{j}]" for j in range(2, k + 1, 2))
     odd_c2 = frozenset(f"c[2,{j}]" for j in range(1, k + 1, 2))
     for i in range(1, t + 1):
@@ -186,13 +182,13 @@ def warmup_election(k: int) -> LabeledElection:
     for j in range(1, k + 1):
         tail = frozenset(f"c[2,{q}]" for q in range(j, k + 1))
         b.add_class(tail, t, f"S{j}")
-    b.add_class(_dummies(k - 2), (k * k - 2 * k) // 4, "U")
+    b.add_class(frozenset(_dummies(k - 2)), (k * k - 2 * k) // 4, "U")
     return b.build(k)
 
 
 def warmup_initial_committee(labeled: LabeledElection) -> frozenset[int]:
     k = labeled.election.committee_size
-    names = ["c[1,1]", "c[2,1]"] + [f"d{i}" for i in range(1, k - 1)]
+    names = ["c[1,1]", "c[2,1]"] + _dummies(k - 2)
     return labeled.committee(*names)
 
 
@@ -216,38 +212,29 @@ def warmup_sequence(k: int) -> list[Swap]:
 # Atomic families F(j, k) and E(j, k)
 
 
-def _swap_ab(ballot: frozenset[str]) -> frozenset[str]:
-    out = set(ballot)
-    has_a, has_b = "a" in out, "b" in out
-    out.discard("a")
-    out.discard("b")
-    if has_a:
-        out.add("b")
-    if has_b:
-        out.add("a")
-    return frozenset(out)
+_SWAP_AB = {"a": ("b",), "b": ("a",)}
+
+
+def _check_depth(family: str, j: int, k: int) -> None:
+    if not 1 <= j < k:
+        raise ConstructionError(f"{family} family needs 1 <= j < k, got j={j}, k={k}")
 
 
 def _f_ballots(j: int, k: int) -> list[frozenset[str]]:
-    if not 1 <= j < k:
-        raise ConstructionError(f"f family needs 1 <= j < k, got j={j}, k={k}")
-    if j == 1:
-        return [_dummies(k - 1) | {"a"}, _dummies(k - 2) | {"b"}]
-    # Merge a role-swapped copy at size k with a copy at size k-1.
-    first = [_swap_ab(ballot) for ballot in _f_ballots(j - 1, k)]
-    second = _f_ballots(j - 1, k - 1)
-    return first + second
+    """F(0, k) is the single ballot {d1..d(k-1), b}; F(j, k) merges a
+    role-swapped F(j-1, k) with F(j-1, k-1)."""
+    if j == 0:
+        return [frozenset(_dummies(k - 1) + ["b"])]
+    first = [_rename(ballot, _SWAP_AB) for ballot in _f_ballots(j - 1, k)]
+    return first + _f_ballots(j - 1, k - 1)
 
 
 def f_election(j: int, k: int) -> LabeledElection:
     """Recursive merge family over candidates d1..d(k-1), a, b with 2^j
     unit-weight ballots."""
+    _check_depth("f", j, k)
     ballots = _f_ballots(j, k)
-    b = _Builder()
-    for i in range(1, k):
-        b.add_candidate(f"d{i}")
-    b.add_candidate("a")
-    b.add_candidate("b")
+    b = _Builder(_dummies(k - 1) + ["a", "b"])
     half = len(ballots) // 2
     for idx, ballot in enumerate(ballots):
         group = "N1" if (j > 1 and idx < half) else ("N2" if j > 1 else "N")
@@ -256,21 +243,16 @@ def f_election(j: int, k: int) -> LabeledElection:
 
 
 def _e_ballots(j: int, k: int) -> tuple[list[frozenset[str]], dict[int, int]]:
-    if not 1 <= j < k:
-        raise ConstructionError(f"e family needs 1 <= j < k, got j={j}, k={k}")
-    if j == 1:
-        # Direct base case: two counterpart voters realising the
-        # 1/(k(k-1)) pivotal gain.
-        return [_dummies(k - 2) | {"x", "a"}, _dummies(k - 2) | {"y", "b"}], {0: 1, 1: 0}
+    """A role-swapped copy of F(j-1, k-1) with x added, then the copy
+    itself with y added; voter i and voter half+i are counterparts."""
+    _check_depth("e", j, k)
     base = _f_ballots(j - 1, k - 1)
     half = len(base)
-    first = [_swap_ab(ballot) | {"x"} for ballot in base]
-    second = [ballot | {"y"} for ballot in base]
+    first = [_rename(ballot, _SWAP_AB) | {"x"} for ballot in base]
     counterpart: dict[int, int] = {}
     for i in range(half):
-        counterpart[i] = half + i
-        counterpart[half + i] = i
-    return first + second, counterpart
+        counterpart[i], counterpart[half + i] = half + i, i
+    return first + [ballot | {"y"} for ballot in base], counterpart
 
 
 def e_election(j: int, k: int) -> LabeledElection:
@@ -278,11 +260,7 @@ def e_election(j: int, k: int) -> LabeledElection:
     x and y; the recorded counterpart bijection pairs each voter with
     her mirror image."""
     ballots, counterpart = _e_ballots(j, k)
-    b = _Builder()
-    for i in range(1, k - 1):
-        b.add_candidate(f"d{i}")
-    for name in ("x", "y", "a", "b"):
-        b.add_candidate(name)
+    b = _Builder(_dummies(k - 2) + ["x", "y", "a", "b"])
     half = len(ballots) // 2
     for idx, ballot in enumerate(ballots):
         b.add_class(ballot, 1, "N1" if idx < half else "N2")
@@ -314,12 +292,8 @@ def _et_ballots(
         # exactly when the ascending direction is the improving one.
         # Clone closure: a voter of copy i approves the whole lower
         # segment c1..ci or upper segment c(i+1)..c(t+1), never part of one.
-        rename = {"a": chain[:i], "b": chain[i:], "x": x, "y": y}
-        for ballot in base:
-            named: set[str] = set()
-            for name in ballot:
-                named.update(rename.get(name, (name,)))
-            out.append((frozenset(named), i))
+        names = {"a": chain[:i], "b": chain[i:], "x": x, "y": y}
+        out.extend((_rename(ballot, names), i) for ballot in base)
         for v, w in base_cp.items():
             counterpart[offset + v] = offset + w
     return out, counterpart
@@ -330,13 +304,7 @@ def e_t_election(t: int, j: int, k: int) -> LabeledElection:
     c1..c(t+1) and the direction flags x, y."""
     chain = [f"c{q}" for q in range(1, t + 2)]
     ballots, counterpart = _et_ballots(chain, {"x"}, {"y"}, j, k)
-    b = _Builder()
-    for name in chain:
-        b.add_candidate(name)
-    b.add_candidate("x")
-    b.add_candidate("y")
-    for i in range(1, k - 1):
-        b.add_candidate(f"d{i}")
+    b = _Builder(chain + ["x", "y"] + _dummies(k - 2))
     for ballot, copy_index in ballots:
         b.add_class(ballot, 1, f"N{copy_index}")
     return b.build(k, counterpart)
@@ -385,6 +353,8 @@ class LayeredParams:
     def asymptotic_levels(k: int) -> int:
         """ceil(log2 k), the setting under which the length bound
         becomes super-polynomial in k alone."""
+        if k < 1:
+            raise ConstructionError(f"asymptotic level count needs k >= 1, got {k}")
         return max(1, math.ceil(math.log2(k)))
 
 
@@ -421,12 +391,7 @@ def _layered_builder(params: LayeredParams) -> _Builder:
     """The layered election's candidates and classes, not yet frozen."""
     t, k2, levels = params.t, params.k2, params.levels
     columns = [[f"c[{i},{q}]" for q in range(1, t + 2)] for i in range(1, levels + 1)]
-    b = _Builder()
-    for chain in columns:
-        for name in chain:
-            b.add_candidate(name)
-    for i in range(1, k2 + 1):
-        b.add_candidate(f"d{i}")
+    b = _Builder([name for chain in columns for name in chain] + _dummies(k2))
     for i, chain in enumerate(columns, start=1):
         if i < levels:  # the next column's odd and even positions
             forward, backward = columns[i][0::2], columns[i][1::2]
@@ -487,8 +452,8 @@ def min_k_gain_search(
     entries: list[GainSearchEntry] = []
     first_pass: Optional[int] = None
     for k in sorted(set(k_range)):
-        lv = levels if levels is not None else LayeredParams.asymptotic_levels(k)
         try:
+            lv = levels if levels is not None else LayeredParams.asymptotic_levels(k)
             params = LayeredParams(levels=lv, k=k)
         except ConstructionError:
             entries.append(GainSearchEntry(k=k, levels=None, outcome="invalid", margins={}))

@@ -41,10 +41,16 @@ _NATIVE_VERSION = 1
 
 
 def serialize_native(election: Election) -> str:
-    """Canonical text form; committee size 0 encodes "unset"."""
+    """Canonical text form; committee size 0 encodes "unset".
+
+    A candidate name must be non-empty, without leading or trailing
+    whitespace and without a line break, or it would not parse back.
+    """
     k = election.committee_size if election.committee_size is not None else 0
     lines = [f"{_NATIVE_MAGIC} {_NATIVE_VERSION} {election.m} {k}"]
     for idx, name in enumerate(election.candidate_names):
+        if not isinstance(name, str) or name.strip().splitlines() != [name]:
+            raise FormatError(f"candidate {idx} name {name!r} would not round-trip")
         lines.append(f"cand {idx} {name}")
     for bc in election.ballot_classes:
         entries = " ".join(str(c) for c in sorted(bc.approves))

@@ -125,16 +125,11 @@ def aggregate(rows: Sequence[dict]) -> list[dict]:
     statistics over the successful runs.  Groups with no successful run
     are skipped with a warning."""
     groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
     for row in rows:
-        key = (row["model"], row["k"], row["rule"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault((row["model"], row["k"], row["rule"]), []).append(row)
     out = []
-    for key in order:
-        good = [r for r in groups[key] if not r["error"]]
+    for key, group in groups.items():
+        good = [r for r in group if not r["error"]]
         if not good:
             warnings.warn(f"group {key} has no successful runs; skipped")
             continue
@@ -155,6 +150,28 @@ def aggregate(rows: Sequence[dict]) -> list[dict]:
     return out
 
 
+def _cell_outcomes(config: ExperimentConfig, k: int, seed: int) -> list[tuple]:
+    """(swaps, comparisons, error) of each rule on one (k, seed) cell; a
+    set-up failure is every rule's error."""
+    try:
+        if isinstance(config.source, Election):
+            election = config.source.with_committee_size(k)
+        else:
+            election = sample(replace(config.source, seed=seed)).with_committee_size(k)
+        initial = select_initial_committee(election)
+        epsilon = Epsilon.resolve(config.epsilon, election)
+    except (PavlsError, ValueError) as exc:
+        return [("", "", str(exc))] * len(config.rules)
+    outcomes = []
+    for rule_name in config.rules:
+        try:
+            trace = run(election, initial, epsilon, RULES[rule_name])
+            outcomes.append((trace.swaps, trace.comparisons, ""))
+        except (PavlsError, ValueError) as exc:
+            outcomes.append(("", "", str(exc)))
+    return outcomes
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute every (k, repetition, rule) cell in deterministic order.
 
@@ -168,32 +185,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for ki, k in enumerate(config.k_values):
         for rep in range(config.repetitions):
             seed = run_seed(config.base_seed, ki, config.repetitions, rep)
-            try:
-                if isinstance(config.source, Election):
-                    election = config.source.with_committee_size(k)
-                else:
-                    election = sample(replace(config.source, seed=seed)).with_committee_size(k)
-                initial = select_initial_committee(election)
-                epsilon = Epsilon.resolve(config.epsilon, election)
-            except (PavlsError, ValueError) as exc:
-                for rule_name in config.rules:
-                    rows.append({
-                        "model": model, "k": k, "rule": rule_name, "rep": rep,
-                        "seed": seed, "swaps": "", "comparisons": "", "error": str(exc),
-                    })
-                continue
-            for rule_name in config.rules:
-                row = {
+            outcomes = _cell_outcomes(config, k, seed)
+            for rule_name, (swaps, comparisons, error) in zip(config.rules, outcomes):
+                rows.append({
                     "model": model, "k": k, "rule": rule_name, "rep": rep,
-                    "seed": seed, "swaps": "", "comparisons": "", "error": "",
-                }
-                try:
-                    trace = run(election, initial, epsilon, RULES[rule_name])
-                    row["swaps"] = trace.swaps
-                    row["comparisons"] = trace.comparisons
-                except (PavlsError, ValueError) as exc:
-                    row["error"] = str(exc)
-                rows.append(row)
+                    "seed": seed, "swaps": swaps, "comparisons": comparisons, "error": error,
+                })
     return ExperimentResult(config=config, runs=rows, aggregates=aggregate(rows))
 
 

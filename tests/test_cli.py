@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavls import Epsilon, parse_native, pav_score, validate_sequence
+from pavls import BallotClass, Election, Epsilon, parse_native, pav_score, validate_sequence
 from pavls.cli import main
 from pavls.formats import serialize_native
 
@@ -208,6 +208,42 @@ def test_too_many_seeds_exit_code(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_oracle_missing_inputs_exit_code(tmp_path, capsys, fig1b):
+    e_path = tmp_path / "fig1b.pavls"
+    e_path.write_text(serialize_native(fig1b))
+    _assert_input_error(capsys, ["oracle", "--mode", "optimum"], "needs --election")
+    _assert_input_error(
+        capsys, ["oracle", "--mode", "local-opt", "--committee", "0,1,2"], "needs --election")
+    _assert_input_error(
+        capsys, ["oracle", "--mode", "local-opt", "--election", str(e_path)],
+        "needs --committee")
+
+
+def test_experiment_without_source_exit_code(tmp_path, capsys):
+    out_dir = tmp_path / "exp"
+    _assert_input_error(
+        capsys, ["experiment", "--k-values", "2", "--out", str(out_dir)],
+        "needs --election or --model")
+    assert not out_dir.exists()
+
+
+def test_construct_input_errors_exit_code(tmp_path, capsys):
+    for gamma in ("abc", "1/0"):
+        _assert_input_error(
+            capsys, ["construct", "--family", "hardened", "-k", "21", "--gamma", gamma],
+            "gamma must be a fraction")
+    _assert_input_error(capsys, ["construct", "--family", "f", "-k", "5", "-j", "0"],
+                        "1 <= j < k")
+    e_path, seq_path = tmp_path / "e.pavls", tmp_path / "seq.txt"
+    for family in ("f", "e", "et"):
+        for flag, message in (("--sequence-out", "no associated sequence"),
+                              ("--initial-out", "no associated committee")):
+            _assert_input_error(
+                capsys, ["construct", "--family", family, "-k", "5", "-o", str(e_path),
+                         flag, str(seq_path)], message)
+            assert not e_path.exists() and not seq_path.exists()
+
+
 def _exit_code(argv):
     """main's exit code, with argparse's usage errors counted as exit 2;
     any other exception propagates and fails the test."""
@@ -252,3 +288,53 @@ def test_python_dash_m_entry_point():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("pavls 1 3 0\n")
+
+
+@pytest.fixture(scope="module")
+def small_election_path(tmp_path_factory):
+    classes = (BallotClass(frozenset({0, 1}), 3), BallotClass(frozenset({2}), 2),
+               BallotClass(frozenset({3, 4}), 1))
+    path = tmp_path_factory.mktemp("oracle") / "small.pavls"
+    path.write_text(serialize_native(Election(("a", "b", "c", "d", "e"), classes, 2)))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(("optimum", "local-opt", "gain-search")),
+    with_election=st.booleans(), k=st.none() | st.integers(0, 5),
+    committee=st.none() | st.sampled_from(("0,1", "0,2", "0", "0,0", "9,1", "x", "")),
+    epsilon=st.sampled_from(_EPSILONS), cap=st.none() | st.integers(-1, 30),
+    k_min=st.integers(-2, 8), k_span=st.integers(-1, 4), levels=st.none() | st.integers(-1, 3),
+)
+def test_oracle_exit_codes(small_election_path, mode, with_election, k, committee, epsilon, cap,
+                           k_min, k_span, levels):
+    argv = ["oracle", "--mode", mode, f"--epsilon={epsilon}",
+            f"--k-min={k_min}", f"--k-max={k_min + k_span}"]
+    if with_election:
+        argv += ["--election", small_election_path]
+    for flag, value in (("-k", k), ("--committee", committee), ("--cap", cap),
+                        ("--levels", levels)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(("warmup", "f", "e", "et", "layered", "hardened")),
+    k=st.integers(-1, 9) | st.just(21), j=st.integers(-1, 4), t=st.integers(-1, 3),
+    levels=st.integers(-1, 3), gamma=st.none() | st.sampled_from(("abc", "1/0", "0", "-3", "5/2")),
+    sequence_out=st.booleans(), initial_out=st.booleans(),
+)
+def test_construct_exit_codes(family, k, j, t, levels, gamma, sequence_out, initial_out):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["construct", f"--family={family}", f"-k={k}", f"-j={j}", f"-t={t}",
+                f"--levels={levels}", "-o", os.path.join(tmp, "e.pavls")]
+        if gamma is not None:
+            argv.append(f"--gamma={gamma}")
+        if sequence_out:
+            argv += ["--sequence-out", os.path.join(tmp, "seq.txt")]
+        if initial_out:
+            argv += ["--initial-out", os.path.join(tmp, "w0.txt")]
+        assert _exit_code(argv) in (0, 1, 2)

@@ -28,7 +28,7 @@ from pavls import (
     warmup_sequence,
     x_length,
 )
-from pavls.constructions import _f_ballots
+from pavls.constructions import _Builder, _f_ballots
 from pavls.core import SatisfactionState
 
 
@@ -128,6 +128,20 @@ def test_e_counterpart_properties(j, k):
         assert av & dummies == aw & dummies
         assert (a in av) == (b in aw) and (b in av) == (a in aw)
         assert (x in av) == (y in aw) and (y in av) == (x in aw)
+
+
+def test_atomic_families_need_depth_at_least_one():
+    for k in (3, 6):
+        for family in (f_election, e_election):
+            with pytest.raises(ConstructionError, match="1 <= j < k"):
+                family(0, k)
+    with pytest.raises(ConstructionError, match="1 <= j < k"):
+        e_t_election(2, 0, 4)
+
+
+def test_builder_rejects_duplicate_label():
+    with pytest.raises(ConstructionError, match="duplicate candidate label 'a'"):
+        _Builder(["a", "b", "a"])
 
 
 @pytest.mark.parametrize("j,k", [(1, 3), (1, 6), (2, 4), (2, 7), (3, 5), (4, 6)])

@@ -43,6 +43,25 @@ def test_native_round_trip_random(e):
     assert parse_native(serialize_native(e)) == e
 
 
+@pytest.mark.parametrize("name", ["a\nballot 1: 0", "a ", "", 1])
+def test_native_rejects_names_that_do_not_round_trip(name):
+    e = Election((name, "b"), (BallotClass(frozenset({0}), 1),), 1)
+    with pytest.raises(FormatError, match="round-trip"):
+        serialize_native(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+def test_native_any_names_round_trip_or_raise(names):
+    e = Election(tuple(names), (BallotClass(frozenset({0}), 1),), None)
+    try:
+        text = serialize_native(e)
+    except FormatError:
+        assert any(name.strip().splitlines() != [name] for name in names)
+    else:
+        assert parse_native(text) == e
+
+
 def test_native_unset_committee_size():
     e = Election(("a", "b"), (BallotClass(frozenset({0}), 1),), None)
     text = serialize_native(e)

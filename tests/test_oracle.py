@@ -80,6 +80,12 @@ def test_gain_search_default_rule_never_passes_small():
     assert all(entry.outcome in ("fail", "invalid") for entry in report.entries)
 
 
+def test_gain_search_nonpositive_k_is_invalid():
+    report = min_k_gain_search(range(-1, 3))
+    assert [(e.k, e.levels, e.outcome) for e in report.entries] == [
+        (-1, None, "invalid"), (0, None, "invalid"), (1, None, "invalid"), (2, None, "invalid")]
+
+
 def test_gain_search_reports_margins():
     report = min_k_gain_search([32], levels=2)
     (entry,) = report.entries
