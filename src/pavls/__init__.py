@@ -27,8 +27,10 @@ from .core import (
 )
 from .search import (
     BestResponse,
+    InvalidRuleError,
     InvalidStepCapError,
     LexicographicBetterResponse,
+    PivotRule,
     RULES,
     RunTrace,
     run,

@@ -32,8 +32,8 @@ class InvalidSwapError(PavlsError):
     pass
 
 
-class InvalidEpsilonError(PavlsError):
-    pass
+class InvalidEpsilonError(PavlsError, ValueError):
+    """A threshold that is not a positive rational (also a ValueError)."""
 
 
 class InvalidElectionError(PavlsError, ValueError):
@@ -138,14 +138,6 @@ class Election:
     # Python int whose bit i stands for ballot class i.
 
     @cached_property
-    def approval_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(bc.approves for bc in self.ballot_classes)
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(bc.weight for bc in self.ballot_classes)
-
-    @cached_property
     def approval_masks(self) -> tuple[int, ...]:
         """Per candidate, the mask of the ballot classes approving it."""
         # Row c spells candidate c's mask as binary digits, most
@@ -154,8 +146,8 @@ class Election:
         last = len(self.ballot_classes) - 1
         rows = [bytearray(b"0") * (last + 1) for _ in range(self.m)]
         one = ord("1")
-        for ci, approves in enumerate(self.approval_sets):
-            for c in approves:
+        for ci, bc in enumerate(self.ballot_classes):
+            for c in bc.approves:
                 rows[c][last - ci] = one
         return tuple(int(row, 2) for row in rows)
 
@@ -164,8 +156,8 @@ class Election:
         """One (weight, mask of the classes with that weight) pair per
         distinct class weight."""
         groups: dict[int, int] = {}
-        for ci, w in enumerate(self.weights):
-            groups[w] = groups.get(w, 0) | 1 << ci
+        for ci, bc in enumerate(self.ballot_classes):
+            groups[bc.weight] = groups.get(bc.weight, 0) | 1 << ci
         return tuple(groups.items())
 
     @cached_property
@@ -198,29 +190,31 @@ def validate_committee(election: Election, committee: Iterable[int]) -> frozense
 class Epsilon:
     """Swap-acceptance threshold, always a positive exact rational."""
 
-    kind: str  # "threshold" | "zero-plus" | "custom"
     value: Fraction
+    quantized: bool = False  # the 0+ threshold: every delta is checked by assert_quantized
 
     def __post_init__(self):
         if self.value <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.value}")
+            raise InvalidEpsilonError(f"epsilon must be positive, got {self.value}")
 
     @staticmethod
     def threshold(election: Election) -> "Epsilon":
         """n/k^2, the polynomial-runtime threshold."""
         k = election.require_committee_size()
-        return Epsilon("threshold", Fraction(election.n, k * k))
+        return Epsilon(Fraction(election.n, k * k))
 
     @staticmethod
     def zero_plus(k: int) -> "Epsilon":
         """1/lcm(1..k): with this threshold, "delta >= eps" coincides with
         "delta > 0" (a quantization fact asserted at runtime, see
         :func:`assert_quantized`)."""
-        return Epsilon("zero-plus", Fraction(1, lcm_range(k)))
+        if k < 1:
+            raise InvalidEpsilonError(f"zero-plus epsilon needs k >= 1, got {k}")
+        return Epsilon(Fraction(1, lcm_range(k)), quantized=True)
 
     @staticmethod
     def custom(value: Fraction) -> "Epsilon":
-        return Epsilon("custom", Fraction(value))
+        return Epsilon(Fraction(value))
 
     @staticmethod
     def check_selector(selector: Union[str, Fraction]) -> Union[str, Fraction]:
@@ -271,15 +265,6 @@ class SatisfactionState:
         for c in members:
             levels = _move(levels, 0, masks[c])
         self.levels = levels
-
-    def score(self) -> Fraction:
-        weight_masks = self.election.weight_masks
-        total = Fraction(0)
-        for h, mask in self.levels.items():
-            if h:
-                voters = sum(w * (mask & group).bit_count() for w, group in weight_masks)
-                total += voters * _harmonic(h)
-        return total
 
 
 def _move(levels: dict[int, int], down: int, up: int) -> dict[int, int]:
@@ -407,7 +392,6 @@ def validate_sequence(
     certification outcome, not an error.
     """
     state = SatisfactionState(election, start)
-    check_quantized = epsilon.kind == "zero-plus"
     deltas: list[Fraction] = []
     first_invalid: Optional[int] = None
     for idx, swap in enumerate(seq):
@@ -416,7 +400,7 @@ def validate_sequence(
         except InvalidSwapError:
             first_invalid = idx
             break
-        if check_quantized:
+        if epsilon.quantized:
             assert_quantized(election, d)
         deltas.append(d)
         apply_swap(state, swap)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Election,
@@ -80,28 +80,41 @@ def next_swap_best(
     return Swap(a, b), d, comparisons
 
 
+class InvalidRuleError(PavlsError, ValueError):
+    """A pivot rule or candidate order that cannot be used (also a ValueError)."""
+
+
 @dataclass(frozen=True)
-class _OrderedRule:
-    """``order`` is a total order over all candidates (a permutation of
-    range(m)); None means index order."""
+class PivotRule:
+    """A pivoting rule, whose :meth:`pick` chooses a run's next swap.  ``order``
+    is a total order over all candidates (a permutation of range(m)); None
+    means index order."""
 
     order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.order is not None and sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("candidate order must be a permutation of range(m)")
+            raise InvalidRuleError("candidate order must be a permutation of range(m)")
+
+    def pick(self, election: Election, state: SatisfactionState, epsilon: Epsilon):
+        """The next swap as (swap, delta, comparisons-used), like :func:`next_swap_lex`."""
+        raise NotImplementedError
 
 
-class LexicographicBetterResponse(_OrderedRule):
+class LexicographicBetterResponse(PivotRule):
     """First qualifying swap in lexicographic (incoming, outgoing) order."""
 
+    def pick(self, election, state, epsilon):
+        return next_swap_lex(election, state, epsilon, self.order)
 
-class BestResponse(_OrderedRule):
+
+class BestResponse(PivotRule):
     """Maximum-gain swap; ties broken lexicographically by (incoming,
     outgoing) order."""
 
+    def pick(self, election, state, epsilon):
+        return next_swap_best(election, state, epsilon, self.order)
 
-PivotRule = Union[LexicographicBetterResponse, BestResponse]
 
 #: The pivoting rules by name, as the CLI and the experiment CSVs spell them.
 RULES: dict[str, PivotRule] = {
@@ -148,17 +161,13 @@ def run(
     """
     if step_cap is not None and step_cap < 0:
         raise InvalidStepCapError(f"step cap must be >= 0, got {step_cap}")
-    if isinstance(rule, LexicographicBetterResponse):
-        picker = next_swap_lex
-    elif isinstance(rule, BestResponse):
-        picker = next_swap_best
-    else:
-        raise TypeError(f"unknown pivot rule: {rule!r}")
+    if not isinstance(rule, PivotRule):
+        raise InvalidRuleError(f"not a pivot rule: {rule!r}")
     if rule.order is not None and len(rule.order) != election.m:
-        raise ValueError(f"candidate order has {len(rule.order)} entries, not m={election.m}")
+        raise InvalidRuleError(
+            f"candidate order has {len(rule.order)} entries, not m={election.m}")
     state = SatisfactionState(election, initial)
     members = frozenset(state.committee)
-    check_quantized = epsilon.kind == "zero-plus"
     executed: list[Swap] = []
     deltas: list[Fraction] = []
     comparisons = 0
@@ -167,11 +176,11 @@ def run(
         if step_cap is not None and len(executed) >= step_cap:
             terminated = False
             break
-        swap, d, used = picker(election, state, epsilon, rule.order)
+        swap, d, used = rule.pick(election, state, epsilon)
         comparisons += used
         if swap is None:
             break
-        if check_quantized:
+        if epsilon.quantized:
             assert_quantized(election, d)
         apply_swap(state, swap)
         executed.append(swap)

@@ -98,8 +98,8 @@ def test_criterion_02_pivotal_swap_equality():
             state = SatisfactionState(lab.election, w)
             got = delta(lab.election, state, lab.candidate("a"), lab.candidate("b"))
             assert got == delta_formula(j, k), (j, k)
-            for ballot in lab.election.approval_sets:
-                assert len(ballot & w) >= k - (j + 1), (j, k)
+            for bc in lab.election.ballot_classes:
+                assert len(bc.approves & w) >= k - (j + 1), (j, k)
     elapsed = _elapsed_ok("criterion 2", started, 10.0)
     print(f"\n[PASS] criterion 2: pivotal swap gain and satisfaction floor, "
           f"all 1<=j<k<=12 ({elapsed:.2f}s)")
@@ -117,7 +117,7 @@ def test_criterion_03_mirror_and_chain_properties():
             a, b = lab.candidate("a"), lab.candidate("b")
             assert e.n == 2 ** j
             for v, w in lab.counterpart.items():
-                av, aw = e.approval_sets[v], e.approval_sets[w]
+                av, aw = e.ballot_classes[v].approves, e.ballot_classes[w].approves
                 assert av & dummies == aw & dummies
                 assert (a in av) == (b in aw) and (b in av) == (a in aw)
                 assert (x in av) == (y in aw) and (y in av) == (x in aw)

@@ -124,7 +124,7 @@ def test_e_counterpart_properties(j, k):
     s = lab.counterpart
     assert s is not None
     for v, w in s.items():
-        av, aw = e.approval_sets[v], e.approval_sets[w]
+        av, aw = e.ballot_classes[v].approves, e.ballot_classes[w].approves
         assert av & dummies == aw & dummies
         assert (a in av) == (b in aw) and (b in av) == (a in aw)
         assert (x in av) == (y in aw) and (y in av) == (x in aw)
@@ -150,8 +150,8 @@ def test_e_pivotal_swap_gain(j, k):
     w = lab.committee(*_dummy_names(k - 2), "x", "a")
     state = SatisfactionState(lab.election, w)
     assert delta(lab.election, state, lab.candidate("a"), lab.candidate("b")) == delta_formula(j, k)
-    for ballot in lab.election.approval_sets:
-        assert len(ballot & w) >= k - (j + 1)
+    for bc in lab.election.ballot_classes:
+        assert len(bc.approves & w) >= k - (j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_e_t_clone_closure():
     for i, members in ((int(g[1:]), v) for g, v in lab.voter_groups.items()):
         lower, upper = set(chain[:i]), set(chain[i:])
         for ci in members:
-            ballot = lab.election.approval_sets[ci]
+            ballot = lab.election.ballot_classes[ci].approves
             assert ballot & lower in (set(), lower)
             assert ballot & upper in (set(), upper)
 
@@ -213,7 +213,8 @@ def test_layered_candidate_count():
         assert lab.election.m == p.k2 + levels * (p.t + 1)
         for i in range(1, levels + 1):
             members = lab.voter_groups[f"N{i}"]
-            assert sum(lab.election.weights[ci] for ci in members) == p.t * 2 ** p.level_arity(i)
+            weight = sum(lab.election.ballot_classes[ci].weight for ci in members)
+            assert weight == p.t * 2 ** p.level_arity(i)
 
 
 def test_layered_last_column_forward_flag():
@@ -328,10 +329,10 @@ def test_hardened_blocker_groups():
         (ci,) = members
         assert lab.election.ballot_classes[ci].weight == 2
         column = {lab.candidate(f"c[{i},{q}]") for q in range(1, p.t + 2)}
-        assert lab.election.approval_sets[ci] == frozenset(column)
+        assert lab.election.ballot_classes[ci].approves == frozenset(column)
     for i in range(1, p.k2 + 1):
         (ci,) = lab.voter_groups[f"V{p.levels + i}"]
-        assert lab.election.approval_sets[ci] == frozenset({lab.candidate(f"d{i}")})
+        assert lab.election.ballot_classes[ci].approves == frozenset({lab.candidate(f"d{i}")})
 
 
 def test_hardened_extends_layered_native_text():

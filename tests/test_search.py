@@ -7,9 +7,12 @@ from pavls import (
     BestResponse,
     Election,
     Epsilon,
+    InvalidRuleError,
     InvalidStepCapError,
     LexicographicBetterResponse,
+    PavlsError,
     Swap,
+    is_locally_optimal,
     pav_score,
     run,
     validate_sequence,
@@ -52,6 +55,16 @@ def test_custom_order_changes_selection(fig1b):
         run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), BestResponse((2, 0, 1)))
 
 
+def test_rule_input_errors_are_pavls_errors(fig1b):
+    with pytest.raises(PavlsError):
+        LexicographicBetterResponse((0, 0, 1))
+    with pytest.raises(PavlsError):
+        run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), BestResponse((2, 0, 1)))
+    for not_a_rule in ("best", None, BestResponse):
+        with pytest.raises(InvalidRuleError):
+            run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), not_a_rule)
+
+
 def test_run_lex_terminates_at_local_optimum(fig1b):
     eps = Epsilon.zero_plus(3)
     trace = run(fig1b, {0, 1, 2}, eps, LexicographicBetterResponse())
@@ -72,7 +85,11 @@ def test_run_best_same_optimum_fewer_or_equal_swaps(fig1b):
     best = run(fig1b, {0, 1, 2}, eps, BestResponse())
     assert best.terminated
     assert pav_score(fig1b, best.final_committee) >= pav_score(fig1b, {0, 1, 2})
-    assert best.swaps <= lex.swaps or best.swaps >= 1
+    assert best.swaps <= lex.swaps
+    assert pav_score(fig1b, best.final_committee) == pav_score(fig1b, lex.final_committee)
+    for trace in (lex, best):
+        optimal, _, _ = is_locally_optimal(fig1b, trace.final_committee, eps)
+        assert optimal
 
 
 def test_run_epsilon_10_is_fixpoint(fig1b):
