@@ -8,6 +8,7 @@ file formats, an experiment harness, and a brute-force oracle.
 
 from .core import (
     BallotClass,
+    DomainError,
     Election,
     Epsilon,
     InvalidCommitteeError,

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -40,10 +41,14 @@ class InvalidElectionError(PavlsError, ValueError):
     """An election or ballot class that cannot exist (also a ValueError)."""
 
 
+class DomainError(PavlsError, ValueError):
+    """An argument outside a numeric function's domain (also a ValueError)."""
+
+
 def harmonic(t: int) -> Fraction:
     """Exact t-th harmonic number 1 + 1/2 + ... + 1/t, with harmonic(0) == 0."""
     if t < 0:
-        raise ValueError(f"harmonic() needs t >= 0, got {t}")
+        raise DomainError(f"harmonic() needs t >= 0, got {t}")
     return _harmonic(t)
 
 
@@ -58,7 +63,7 @@ def _harmonic(t: int) -> Fraction:
 def lcm_range(k: int) -> int:
     """Least common multiple of {1, ..., k}."""
     if k < 1:
-        raise ValueError(f"lcm_range() needs k >= 1, got {k}")
+        raise DomainError(f"lcm_range() needs k >= 1, got {k}")
     return math.lcm(*range(1, k + 1))
 
 
@@ -80,8 +85,10 @@ class BallotClass:
     weight: int
 
     def __post_init__(self):
-        if self.weight < 1:
-            raise InvalidElectionError(f"ballot class weight must be positive, got {self.weight}")
+        if type(self.weight) is not int or self.weight < 1:
+            raise InvalidElectionError(
+                f"ballot class weight must be a positive int, got {self.weight!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -109,13 +116,18 @@ class Election:
             raise InvalidElectionError("candidate names must be distinct")
         if not self.ballot_classes:
             raise InvalidElectionError("election needs at least one ballot class")
-        for bc in self.ballot_classes:
-            bad = [c for c in bc.approves if not 0 <= c < m]
-            if bad:
-                raise InvalidElectionError(f"ballot entry out of range: {bad[0]} (m={m})")
+        # Candidates are exact ints (a bool would pass for candidate 0 or
+        # 1); both checks run over all entries at once, in C.
+        approves = [bc.approves for bc in self.ballot_classes]
+        types = set(map(type, chain.from_iterable(approves))) - {int}
+        if types:
+            raise InvalidElectionError(f"ballot entries must be ints, got a {types.pop().__name__}")
+        bad = [c for c in frozenset().union(*approves) if not 0 <= c < m]
+        if bad:
+            raise InvalidElectionError(f"ballot entry out of range: {bad[0]} (m={m})")
         k = self.committee_size
-        if k is not None and not 1 <= k <= m:
-            raise InvalidElectionError(f"committee size {k} not in [1, {m}]")
+        if k is not None and (type(k) is not int or not 1 <= k <= m):
+            raise InvalidElectionError(f"committee size {k!r} not an int in [1, {m}]")
 
     @property
     def m(self) -> int:
@@ -160,15 +172,29 @@ class Election:
             groups[bc.weight] = groups.get(bc.weight, 0) | 1 << ci
         return tuple(groups.items())
 
+    @property
+    def _cell_stride(self) -> int:
+        # A state cell's key is g * stride + h for weight group g (its index
+        # in weight_masks) and hit count h.  Hit counts stay in [0, k]; the
+        # spare slot k+1 keeps neighbouring groups' bands apart.
+        return self.require_committee_size() + 2
+
     @cached_property
-    def _delta_scale(self) -> tuple[int, tuple[int, ...]]:
-        # Common denominator for all per-voter delta terms.  Hit counts
-        # during a swap stay in [1, k]; slot k+1 is only ever read for
-        # level k, whose gain count is always zero.
+    def _cell_coefficients(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(scale, up, down): per cell key g * stride + h, a voter of group
+        g at h hits gains up[key] / scale by one more hit and loses
+        down[key] / scale by one fewer (w_g/(h+1) and w_g/h, 0 at h = 0)."""
+        # scale = lcm(1..k+1) makes every coefficient an integer; the
+        # spare slot h = k+1 is never occupied, so its values are never read.
         k = self.require_committee_size()
         scale = math.lcm(*range(1, k + 2))
-        table = (0,) + tuple(scale // d for d in range(1, k + 2))
-        return scale, table
+        per_voter = [scale // d for d in range(1, k + 2)]
+        up: list[int] = []
+        down: list[int] = []
+        for weight, _ in self.weight_masks:
+            up += [weight * t for t in per_voter] + [0]
+            down += [0] + [weight * t for t in per_voter]
+        return scale, tuple(up), tuple(down)
 
     @cached_property
     def zero_plus_lcm(self) -> int:
@@ -194,8 +220,8 @@ class Epsilon:
     quantized: bool = False  # the 0+ threshold: every delta is checked by assert_quantized
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise InvalidEpsilonError(f"epsilon must be positive, got {self.value}")
+        if not isinstance(self.value, Fraction) or self.value <= 0:
+            raise InvalidEpsilonError(f"epsilon must be a positive Fraction, got {self.value!r}")
 
     @staticmethod
     def threshold(election: Election) -> "Epsilon":
@@ -213,28 +239,39 @@ class Epsilon:
         return Epsilon(Fraction(1, lcm_range(k)), quantized=True)
 
     @staticmethod
-    def custom(value: Fraction) -> "Epsilon":
-        return Epsilon(Fraction(value))
+    def custom(value: Union[int, Fraction, str]) -> "Epsilon":
+        """A threshold given as an int, a Fraction or a string such as
+        ``"28/3"``.  Floats and bools are refused rather than converted:
+        ``Fraction(0.1)`` is not 1/10."""
+        if type(value) is not int and not isinstance(value, (Fraction, str)):
+            raise InvalidEpsilonError(
+                f"epsilon must be an int, a Fraction or a string, got {value!r}"
+            )
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidEpsilonError(f"epsilon must be a fraction, got {value!r}") from None
+        return Epsilon(value)
 
     @staticmethod
-    def check_selector(selector: Union[str, Fraction]) -> Union[str, Fraction]:
+    def check_selector(selector: Union[str, int, Fraction]) -> Union[str, Fraction]:
         """Check an epsilon selector and normalise it.
 
         A selector is ``"zero-plus"`` (1/lcm(1..k)), ``"threshold"``
-        (n/k^2), or a positive rational given as a number or a string
-        such as ``"28/3"``, which is returned as a Fraction.
+        (n/k^2), or a positive rational accepted by :meth:`custom`, which
+        is returned as a Fraction.
         """
         if selector in ("zero-plus", "threshold"):
             return selector
         try:
             return Epsilon.custom(selector).value
-        except (TypeError, ValueError, ZeroDivisionError):
+        except InvalidEpsilonError:
             raise InvalidEpsilonError(
                 f"epsilon must be zero-plus, threshold or a positive fraction, got {selector!r}"
             ) from None
 
     @staticmethod
-    def resolve(selector: Union[str, Fraction], election: Election) -> "Epsilon":
+    def resolve(selector: Union[str, int, Fraction], election: Election) -> "Epsilon":
         """The threshold a selector (see :meth:`check_selector`) names on ``election``."""
         selector = Epsilon.check_selector(selector)
         if selector == "zero-plus":
@@ -246,43 +283,45 @@ class Epsilon:
 
 class SatisfactionState:
     """Mutable per-run cache: committee plus the ballot classes grouped by
-    how many committee members they approve.
+    weight and by how many committee members they approve.
 
-    ``levels`` maps each occupied hit count h to the mask of the classes
-    approving exactly h committee members; the masks are disjoint and
+    ``cells`` maps each occupied cell key g * stride + h (see
+    ``Election._cell_stride``) to the mask of the classes of weight group
+    g approving exactly h committee members; the masks are disjoint and
     together cover every class.  Owned by exactly one run at a time;
     concurrent runs over the same election each build their own state.
     """
 
-    __slots__ = ("election", "committee", "levels")
+    __slots__ = ("election", "committee", "cells")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
         self.election = election
         self.committee = set(members)
-        levels = {0: (1 << len(election.ballot_classes)) - 1}
+        stride = election._cell_stride
+        cells = {g * stride: group for g, (_, group) in enumerate(election.weight_masks)}
         masks = election.approval_masks
         for c in members:
-            levels = _move(levels, 0, masks[c])
-        self.levels = levels
+            cells = _move(cells, 0, masks[c])
+        self.cells = cells
 
 
-def _move(levels: dict[int, int], down: int, up: int) -> dict[int, int]:
-    """The levels after the classes in ``down`` lose one hit and those in
+def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
+    """The cells after the classes in ``down`` lose one hit and those in
     ``up`` gain one (``down`` and ``up`` are disjoint)."""
     keep = ~(down | up)
     moved: dict[int, int] = {}
     get = moved.get
-    for h, mask in levels.items():
+    for key, mask in cells.items():
         part = mask & keep
         if part:
-            moved[h] = get(h, 0) | part
+            moved[key] = get(key, 0) | part
         part = mask & down
         if part:
-            moved[h - 1] = get(h - 1, 0) | part
+            moved[key - 1] = get(key - 1, 0) | part
         part = mask & up
         if part:
-            moved[h + 1] = get(h + 1, 0) | part
+            moved[key + 1] = get(key + 1, 0) | part
     return moved
 
 
@@ -310,27 +349,19 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     """Exact PAV-score change of swapping committee member ``a`` for ``b``.
 
     Only ballot classes approving exactly one of {a, b} count: a class
-    at level h approving b but not a gains 1/(h+1) per voter, one
-    approving a but not b loses 1/h per voter.  Both sets are masks, so
-    each (weight group, level) pair costs two popcounts; a weight group
-    with no such class, like the heavyweight blocker groups of the
-    hardened instances on most swaps, costs nothing.
+    of weight w at h hits approving b but not a gains w/(h+1), one
+    approving a but not b loses w/h.  Both sets are masks, so each
+    occupied (weight group, hit count) cell of the state costs two
+    popcounts and two multiplies by cached integer coefficients.
     """
     check_swap(state, a, b)
     masks = election.approval_masks
     gain = masks[b] & ~masks[a]
     loss = masks[a] & ~masks[b]
-    scale, table = election._delta_scale
-    levels = state.levels.items()
+    scale, up, down = election._cell_coefficients
     num = 0
-    for weight, group in election.weight_masks:
-        g = gain & group
-        l = loss & group
-        if g or l:
-            acc = 0
-            for h, mask in levels:
-                acc += (g & mask).bit_count() * table[h + 1] - (l & mask).bit_count() * table[h]
-            num += weight * acc
+    for key, mask in state.cells.items():
+        num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
     return Fraction(num, scale)
 
 
@@ -339,7 +370,7 @@ def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
     a, b = swap
     check_swap(state, a, b)
     masks = state.election.approval_masks
-    state.levels = _move(state.levels, masks[a] & ~masks[b], masks[b] & ~masks[a])
+    state.cells = _move(state.cells, masks[a] & ~masks[b], masks[b] & ~masks[a])
     state.committee.discard(a)
     state.committee.add(b)
     return state

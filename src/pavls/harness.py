@@ -37,6 +37,10 @@ class HarnessError(PavlsError):
     pass
 
 
+class InvalidQuantileError(HarnessError, IndexError):
+    """A quantile outside [0, 1] (also an IndexError)."""
+
+
 SEED_STRIDE = 1_000_003
 
 
@@ -116,6 +120,8 @@ def nearest_rank(sorted_values: Sequence[int], q: Fraction) -> int:
     """q-th quantile as the value at 1-based index ceil(q * N)."""
     if not sorted_values:
         raise HarnessError("quantile of empty list")
+    if not 0 <= q <= 1:
+        raise InvalidQuantileError(f"quantile must be in [0, 1], got {q}")
     idx = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[idx - 1]
 

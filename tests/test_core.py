@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pavls import (
     BallotClass,
+    DomainError,
     Election,
     Epsilon,
     InvalidCommitteeError,
@@ -44,6 +45,13 @@ def test_lcm_range():
         lcm_range(0)
 
 
+def test_domain_errors_are_pavls_errors():
+    for call, arg in ((harmonic, -1), (lcm_range, 0)):
+        with pytest.raises(DomainError):
+            call(arg)
+    assert issubclass(DomainError, PavlsError) and issubclass(DomainError, ValueError)
+
+
 def test_election_validation():
     with pytest.raises(ValueError):
         Election((), (BallotClass(frozenset(), 1),), None)
@@ -61,6 +69,24 @@ def test_election_validation():
     assert issubclass(InvalidElectionError, PavlsError)
     with pytest.raises(InvalidElectionError, match="committee size 0"):
         Election(("a", "b"), (BallotClass(frozenset({0}), 1),), 0)
+
+
+def test_election_rejects_non_int_values():
+    # Weights, candidates and committee sizes are exact ints: a float
+    # weight would make pav_score a float, and True would pass for
+    # candidate 1.
+    for weight in (1.5, True, "3", Fraction(2)):
+        with pytest.raises(InvalidElectionError):
+            BallotClass(frozenset({0}), weight)
+    for entry in (True, "0", 0.0):
+        with pytest.raises(InvalidElectionError):
+            Election(("a", "b"), (BallotClass(frozenset({entry}), 1),), 1)
+    for k in ("x", 1.0, True):
+        with pytest.raises(InvalidElectionError):
+            Election(("a", "b"), (BallotClass(frozenset({0}), 1),), k)
+    e = Election(("a", "b"), (BallotClass(frozenset({0}), 1),), 1)
+    with pytest.raises(InvalidElectionError):
+        e.with_committee_size("2")
 
 
 def test_committee_size_plumbing():
@@ -83,7 +109,7 @@ def test_election_is_frozen(fig1a):
     # with_committee_size builds a new election with fresh indexes
     e3 = e.with_committee_size(3)
     assert e3.zero_plus_lcm == 6
-    assert e3._delta_scale[0] == 12 and e._delta_scale[0] == 6
+    assert e3._cell_coefficients[0] == 12 and e._cell_coefficients[0] == 6
     assert e3.approval_masks == e.approval_masks == (0b01, 0b01, 0b01, 0b10, 0b10)
     state = SatisfactionState(e3, {0, 1, 3})
     assert delta(e3, state, 3, 2) == pav_score(e3, {0, 1, 2}) - pav_score(e3, {0, 1, 3})
@@ -120,8 +146,9 @@ def test_apply_swap_updates_hits(fig1a):
     state = SatisfactionState(fig1a, {0, 1, 2})
     apply_swap(state, Swap(2, 3))
     assert state.committee == {0, 1, 3}
-    # class 0 approves two members (0, 1), class 1 approves one (3)
-    assert state.levels == {2: 0b01, 1: 0b10}
+    # class 0 (weight group 0) approves two members (0, 1), class 1
+    # (weight group 1) approves one (3); the stride is k + 2 = 5
+    assert state.cells == {2: 0b01, 5 + 1: 0b10}
     with pytest.raises(InvalidSwapError):
         apply_swap(state, Swap(2, 4))
     assert state.committee == {0, 1, 3}  # untouched on failure
@@ -138,6 +165,15 @@ def test_epsilon_kinds(fig1b):
             Epsilon.custom(bad)
     with pytest.raises(InvalidEpsilonError):
         Epsilon.zero_plus(0)
+    # Only ints, Fractions and strings: Fraction(0.1) is not 1/10, and
+    # True is not a threshold.
+    for bad in (0.1, True, "abc", "1/0", None, (1, 2)):
+        with pytest.raises(InvalidEpsilonError):
+            Epsilon.custom(bad)
+    for bad in (0.5, 1):
+        with pytest.raises(InvalidEpsilonError):
+            Epsilon(bad)
+    assert Epsilon.custom(" 1/3 ").value == Fraction(1, 3) and Epsilon.custom(2).value == 2
     assert Epsilon.zero_plus(3).quantized
     assert not Epsilon.threshold(fig1b).quantized and not Epsilon.custom(1).quantized
 
@@ -147,7 +183,7 @@ def test_epsilon_resolve(fig1b):
     assert Epsilon.resolve("threshold", fig1b) == Epsilon.threshold(fig1b)
     assert Epsilon.resolve("28/3", fig1b) == Epsilon.custom(Fraction(28, 3))
     assert Epsilon.resolve(Fraction(5, 2), fig1b) == Epsilon.custom(Fraction(5, 2))
-    for bad in ("abc", "-1", "0", "1/0", None):
+    for bad in ("abc", "-1", "0", "1/0", None, 0.1, True):
         with pytest.raises(InvalidEpsilonError):
             Epsilon.resolve(bad, fig1b)
 
@@ -287,16 +323,19 @@ def _walks(draw):
     return election, committee, steps
 
 
-def _check_levels(election, state):
-    """The level masks are disjoint, cover every class, and put each class
-    at its hit count."""
+def _check_cells(election, state):
+    """The cell masks are disjoint, cover every class, and put each class
+    in its weight group's cell at its hit count."""
+    stride = election.committee_size + 2
     covered = 0
-    for h, mask in state.levels.items():
+    for key, mask in state.cells.items():
+        g, h = divmod(key, stride)
         assert mask and not covered & mask
         covered |= mask
         for ci, bc in enumerate(election.ballot_classes):
             if mask >> ci & 1:
                 assert len(bc.approves & state.committee) == h
+                assert bc.weight == election.weight_masks[g][0]
     assert covered == (1 << len(election.ballot_classes)) - 1
 
 
@@ -309,7 +348,7 @@ def test_engine_walk_matches_scratch_scores(walk):
     state = SatisfactionState(e, committee)
     current = frozenset(committee)
     score = pav_score(e, current)
-    _check_levels(e, state)
+    _check_cells(e, state)
     for i, j in steps:
         a = sorted(current)[i]
         b = [c for c in range(e.m) if c not in current][j]
@@ -319,4 +358,4 @@ def test_engine_walk_matches_scratch_scores(walk):
         apply_swap(state, Swap(a, b))
         current, score = nxt, new_score
         assert state.committee == current
-        _check_levels(e, state)
+        _check_cells(e, state)

@@ -13,7 +13,7 @@ from pavls import (
     run_experiment,
     select_initial_committee,
 )
-from pavls.harness import HarnessError, nearest_rank, run_seed, write_outputs
+from pavls.harness import HarnessError, InvalidQuantileError, nearest_rank, run_seed, write_outputs
 
 
 def test_select_initial_committee(fig1a):
@@ -52,6 +52,14 @@ def test_nearest_rank():
     assert nearest_rank([7], Fraction(1, 2)) == 7
     with pytest.raises(HarnessError):
         nearest_rank([], Fraction(1, 2))
+
+
+def test_nearest_rank_rejects_quantile_outside_unit_interval():
+    for q in (Fraction(2), Fraction(-1, 2)):
+        with pytest.raises(InvalidQuantileError):
+            nearest_rank([1], q)
+    assert issubclass(InvalidQuantileError, HarnessError)
+    assert issubclass(InvalidQuantileError, IndexError)
 
 
 def test_aggregate_single_value_and_spread():
