@@ -47,8 +47,8 @@ class DomainError(PavlsError, ValueError):
 
 def harmonic(t: int) -> Fraction:
     """Exact t-th harmonic number 1 + 1/2 + ... + 1/t, with harmonic(0) == 0."""
-    if t < 0:
-        raise DomainError(f"harmonic() needs t >= 0, got {t}")
+    if type(t) is not int or t < 0:
+        raise DomainError(f"harmonic() needs an int t >= 0, got {t!r}")
     return _harmonic(t)
 
 
@@ -62,8 +62,8 @@ def _harmonic(t: int) -> Fraction:
 
 def lcm_range(k: int) -> int:
     """Least common multiple of {1, ..., k}."""
-    if k < 1:
-        raise DomainError(f"lcm_range() needs k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise DomainError(f"lcm_range() needs an int k >= 1, got {k!r}")
     return math.lcm(*range(1, k + 1))
 
 
@@ -85,6 +85,10 @@ class BallotClass:
     weight: int
 
     def __post_init__(self):
+        if not isinstance(self.approves, frozenset):
+            raise InvalidElectionError(
+                f"ballot class approvals must be a frozenset, got {type(self.approves).__name__}"
+            )
         if type(self.weight) is not int or self.weight < 1:
             raise InvalidElectionError(
                 f"ballot class weight must be a positive int, got {self.weight!r}"
@@ -288,11 +292,14 @@ class SatisfactionState:
     ``cells`` maps each occupied cell key g * stride + h (see
     ``Election._cell_stride``) to the mask of the classes of weight group
     g approving exactly h committee members; the masks are disjoint and
-    together cover every class.  Owned by exactly one run at a time;
+    together cover every class.  ``values`` maps each delta numerator (on
+    the scale of ``Election._cell_coefficients``) met since the last swap
+    to its Fraction, so a scan builds each distinct value once; it holds
+    at most one scan's k(m-k) values.  Owned by exactly one run at a time;
     concurrent runs over the same election each build their own state.
     """
 
-    __slots__ = ("election", "committee", "cells")
+    __slots__ = ("election", "committee", "cells", "values")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
@@ -304,6 +311,7 @@ class SatisfactionState:
         for c in members:
             cells = _move(cells, 0, masks[c])
         self.cells = cells
+        self.values: dict[int, Fraction] = {}
 
 
 def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
@@ -352,7 +360,9 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     of weight w at h hits approving b but not a gains w/(h+1), one
     approving a but not b loses w/h.  Both sets are masks, so each
     occupied (weight group, hit count) cell of the state costs two
-    popcounts and two multiplies by cached integer coefficients.
+    popcounts and two multiplies by cached integer coefficients.  The
+    Fraction is built once per distinct value between swaps (see
+    ``SatisfactionState.values``).
     """
     check_swap(state, a, b)
     masks = election.approval_masks
@@ -362,7 +372,11 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     num = 0
     for key, mask in state.cells.items():
         num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
-    return Fraction(num, scale)
+    # Fraction(0) is falsy, so test for a missing entry with "is None".
+    value = state.values.get(num)
+    if value is None:
+        value = state.values[num] = Fraction(num, scale)
+    return value
 
 
 def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
@@ -371,6 +385,7 @@ def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
     check_swap(state, a, b)
     masks = state.election.approval_masks
     state.cells = _move(state.cells, masks[a] & ~masks[b], masks[b] & ~masks[a])
+    state.values = {}
     state.committee.discard(a)
     state.committee.add(b)
     return state
@@ -436,12 +451,18 @@ def validate_sequence(
         deltas.append(d)
         apply_swap(state, swap)
     valid = first_invalid is None
+    # Sum and compare on the common scale, in ints: every delta's
+    # denominator divides it.
+    scale = election._cell_coefficients[0]
+    nums = [d.numerator * (scale // d.denominator) for d in deltas]
+    eps = epsilon.value
+    good = not nums or min(nums) * eps.denominator >= eps.numerator * scale
     return SequenceCertificate(
         structurally_valid=valid,
         first_invalid_step=first_invalid,
         step_deltas=deltas,
-        certified_good=valid and all(d >= epsilon.value for d in deltas),
-        total_gain=sum(deltas, Fraction(0)),
+        certified_good=valid and good,
+        total_gain=Fraction(sum(nums), scale),
         final_committee=frozenset(state.committee),
-        epsilon=epsilon.value,
+        epsilon=eps,
     )

@@ -52,10 +52,12 @@ def next_swap_lex(
     delta evaluation including the failed ones.  If no pair qualifies,
     all k(m-k) pairs have been evaluated.
     """
-    threshold = epsilon.value
+    # d >= epsilon, cross-multiplied in ints: epsilon's denominator (n/k^2,
+    # say) need not divide the delta scale.
+    tn, td = epsilon.value.numerator, epsilon.value.denominator
     comparisons = 0
     for comparisons, (a, b, d) in enumerate(_scan(election, state, order), 1):
-        if d >= threshold:
+        if d.numerator * td >= tn * d.denominator:
             return Swap(a, b), d, comparisons
     return None, None, comparisons
 

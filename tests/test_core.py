@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pavls import (
@@ -26,6 +26,7 @@ from pavls import (
     validate_sequence,
 )
 from pavls.core import SatisfactionState, apply_swap, assert_quantized
+from pavls.search import next_swap_lex
 
 
 def test_harmonic_values():
@@ -46,7 +47,11 @@ def test_lcm_range():
 
 
 def test_domain_errors_are_pavls_errors():
-    for call, arg in ((harmonic, -1), (lcm_range, 0)):
+    # Arguments are exact ints: a float, a string or a bool is refused
+    # rather than leaking a TypeError or passing for 0 or 1.
+    for call, arg in ((harmonic, -1), (lcm_range, 0), (harmonic, 1.5), (lcm_range, 2.5),
+                      (harmonic, "x"), (lcm_range, "3"), (harmonic, True), (lcm_range, True),
+                      (lcm_range, None)):
         with pytest.raises(DomainError):
             call(arg)
     assert issubclass(DomainError, PavlsError) and issubclass(DomainError, ValueError)
@@ -87,6 +92,15 @@ def test_election_rejects_non_int_values():
     e = Election(("a", "b"), (BallotClass(frozenset({0}), 1),), 1)
     with pytest.raises(InvalidElectionError):
         e.with_committee_size("2")
+
+
+def test_ballot_class_rejects_non_frozenset_approvals():
+    # A list or set would be accepted, then break pav_score's set algebra.
+    for approves in ([0, 1], {0, 1}, (0, 1), "01"):
+        with pytest.raises(InvalidElectionError, match="frozenset"):
+            BallotClass(approves, 1)
+    with pytest.raises(InvalidElectionError):
+        Election(("a", "b"), (BallotClass([0, 1], 1),), 1)
 
 
 def test_committee_size_plumbing():
@@ -359,3 +373,52 @@ def test_engine_walk_matches_scratch_scores(walk):
         current, score = nxt, new_score
         assert state.committee == current
         _check_cells(e, state)
+
+
+# Candidates 0 and 1 have the same approvers, so swapping one for the
+# other gains exactly 0.
+_ZERO_GAIN = Election(("c0", "c1", "c2"),
+                      (BallotClass(frozenset({0, 1}), 2), BallotClass(frozenset({2}), 3)), 1)
+
+
+@pytest.mark.parametrize("selector", ["zero-plus", "threshold", "28/3", "1/2"])
+@settings(max_examples=100, deadline=None)
+@given(walk=_walks())
+@example(walk=(_ZERO_GAIN, (0,), []))
+@example(walk=(_ZERO_GAIN, (0,), [(0, 0), (0, 0)]))
+def test_integer_threshold_tests_match_fraction_reference(selector, walk):
+    """The lex picker's and the replay's integer tests agree with plain
+    Fraction comparisons, and delta hands out one Fraction per value
+    between swaps (zero included)."""
+    e, committee, steps = walk
+    eps = Epsilon.resolve(selector, e)
+    state = SatisfactionState(e, committee)
+    current = frozenset(committee)
+    swaps, gains = [], []
+    for step in steps + [None]:
+        # Reference scan in lexicographic (incoming, outgoing) order.
+        score = pav_score(e, current)
+        found, used = None, 0
+        for b in (c for c in range(e.m) if c not in current):
+            for a in sorted(current):
+                d = pav_score(e, (current - {a}) | {b}) - score
+                first = delta(e, state, a, b)
+                assert first == d and delta(e, state, a, b) is first
+                if found is None:
+                    used += 1
+                    if d >= eps.value:
+                        found = (Swap(a, b), d)
+        assert next_swap_lex(e, state, eps) == (*(found or (None, None)), used)
+        if step is None:
+            break
+        i, j = step
+        a = sorted(current)[i]
+        b = [c for c in range(e.m) if c not in current][j]
+        gains.append(pav_score(e, (current - {a}) | {b}) - score)
+        swaps.append(Swap(a, b))
+        apply_swap(state, swaps[-1])
+        current = (current - {a}) | {b}
+    cert = validate_sequence(e, committee, swaps, eps)
+    assert cert.structurally_valid and cert.step_deltas == gains
+    assert cert.total_gain == sum(gains, Fraction(0))
+    assert cert.certified_good == all(d >= eps.value for d in gains)
