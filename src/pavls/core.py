@@ -184,12 +184,17 @@ class Election:
         return self.require_committee_size() + 2
 
     @cached_property
-    def _cell_coefficients(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(scale, up, down): per cell key g * stride + h, a voter of group
-        g at h hits gains up[key] / scale by one more hit and loses
-        down[key] / scale by one fewer (w_g/(h+1) and w_g/h, 0 at h = 0)."""
+    def _cell_coefficients(
+        self,
+    ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(scale, up, down, shared): per cell key g * stride + h, a voter
+        of group g at h hits gains up[key] / scale by one more hit and loses
+        down[key] / scale by one fewer (w_g/(h+1) and w_g/h, 0 at h = 0);
+        shared[key] = down[key] - up[key] is w_g/(h(h+1)) for h >= 1."""
         # scale = lcm(1..k+1) makes every coefficient an integer; the
         # spare slot h = k+1 is never occupied, so its values are never read.
+        # shared is only read at cells holding a seated member's approvers,
+        # where h >= 1, so it is never negative there.
         k = self.require_committee_size()
         scale = math.lcm(*range(1, k + 2))
         per_voter = [scale // d for d in range(1, k + 2)]
@@ -198,7 +203,8 @@ class Election:
         for weight, _ in self.weight_masks:
             up += [weight * t for t in per_voter] + [0]
             down += [0] + [weight * t for t in per_voter]
-        return scale, tuple(up), tuple(down)
+        shared = tuple(d - u for d, u in zip(down, up))
+        return scale, tuple(up), tuple(down), shared
 
     @cached_property
     def zero_plus_lcm(self) -> int:
@@ -285,6 +291,14 @@ class Epsilon:
         return Epsilon.custom(selector)
 
 
+def check_epsilon(epsilon: Epsilon) -> None:
+    """Raise :class:`InvalidEpsilonError` unless ``epsilon`` is an
+    :class:`Epsilon` (a bare Fraction, string or number is refused; see
+    :meth:`Epsilon.resolve`)."""
+    if not isinstance(epsilon, Epsilon):
+        raise InvalidEpsilonError(f"threshold must be an Epsilon, got {epsilon!r}")
+
+
 class SatisfactionState:
     """Mutable per-run cache: committee plus the ballot classes grouped by
     weight and by how many committee members they approve.
@@ -295,11 +309,15 @@ class SatisfactionState:
     together cover every class.  ``values`` maps each delta numerator (on
     the scale of ``Election._cell_coefficients``) met since the last swap
     to its Fraction, so a scan builds each distinct value once; it holds
-    at most one scan's k(m-k) values.  Owned by exactly one run at a time;
-    concurrent runs over the same election each build their own state.
+    at most one scan's k(m-k) values.  ``sums`` is None outside a scan;
+    a scan installs an empty dict (see ``search._scan``) that :func:`delta`
+    fills lazily with each incoming candidate's gain sum and each outgoing
+    member's loss sum and approver parts, and :func:`apply_swap` resets it
+    to None.  Owned by exactly one run at a time; concurrent runs over the
+    same election each build their own state.
     """
 
-    __slots__ = ("election", "committee", "cells", "values")
+    __slots__ = ("election", "committee", "cells", "values", "sums")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
@@ -312,6 +330,7 @@ class SatisfactionState:
             cells = _move(cells, 0, masks[c])
         self.cells = cells
         self.values: dict[int, Fraction] = {}
+        self.sums: Optional[dict] = None
 
 
 def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
@@ -358,20 +377,56 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
 
     Only ballot classes approving exactly one of {a, b} count: a class
     of weight w at h hits approving b but not a gains w/(h+1), one
-    approving a but not b loses w/h.  Both sets are masks, so each
-    occupied (weight group, hit count) cell of the state costs two
-    popcounts and two multiplies by cached integer coefficients.  The
-    Fraction is built once per distinct value between swaps (see
+    approving a but not b loses w/h.  Outside a scan (``state.sums`` is
+    None), both sets are masks, so each occupied (weight group, hit
+    count) cell of the state costs two popcounts and two multiplies by
+    cached integer coefficients.  During a scan the same value is
+
+        G[b] - L[a] + sum over the classes approving a and b of w/(h(h+1)),
+
+    with G[b] = sum over b's approvers of w/(h+1) and L[a] = sum over
+    a's approvers of w/h read from ``state.sums``, so a pair costs one
+    popcount per cell holding some of a's approvers.  A replay evaluates
+    one pair per state, where building the sums would cost more than
+    they save, so it keeps the one-pass loop.  The Fraction is
+    built once per distinct value between swaps (see
     ``SatisfactionState.values``).
     """
     check_swap(state, a, b)
+    if state.election is not election and state.election != election:
+        raise PavlsError("the satisfaction state belongs to another election")
     masks = election.approval_masks
-    gain = masks[b] & ~masks[a]
-    loss = masks[a] & ~masks[b]
-    scale, up, down = election._cell_coefficients
-    num = 0
-    for key, mask in state.cells.items():
-        num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
+    scale, up, down, shared = election._cell_coefficients
+    sums = state.sums
+    if sums is None:
+        gain = masks[b] & ~masks[a]
+        loss = masks[a] & ~masks[b]
+        num = 0
+        for key, mask in state.cells.items():
+            num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
+    else:
+        mask_b = masks[b]
+        num = sums.get(b)
+        if num is None:
+            num = sums[b] = sum(
+                (mask_b & mask).bit_count() * up[key] for key, mask in state.cells.items()
+            )
+        outgoing = sums.get(a)
+        if outgoing is None:
+            # L[a], and each non-empty part of a cell approving a with the
+            # cell's shared coefficient.
+            mask_a = masks[a]
+            loss, parts = 0, []
+            for key, mask in state.cells.items():
+                part = mask_a & mask
+                if part:
+                    loss += part.bit_count() * down[key]
+                    parts.append((part, shared[key]))
+            outgoing = sums[a] = loss, parts
+        loss, parts = outgoing
+        num -= loss
+        for part, coefficient in parts:
+            num += (part & mask_b).bit_count() * coefficient
     # Fraction(0) is falsy, so test for a missing entry with "is None".
     value = state.values.get(num)
     if value is None:
@@ -386,6 +441,7 @@ def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
     masks = state.election.approval_masks
     state.cells = _move(state.cells, masks[a] & ~masks[b], masks[b] & ~masks[a])
     state.values = {}
+    state.sums = None
     state.committee.discard(a)
     state.committee.add(b)
     return state
@@ -437,6 +493,7 @@ def validate_sequence(
     replay and is reported by index; a step with delta < epsilon is a
     certification outcome, not an error.
     """
+    check_epsilon(epsilon)
     state = SatisfactionState(election, start)
     deltas: list[Fraction] = []
     first_invalid: Optional[int] = None

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import Election, Epsilon, PavlsError, Swap, pav_score, validate_committee
+from .core import (
+    Election,
+    Epsilon,
+    PavlsError,
+    Swap,
+    check_epsilon,
+    pav_score,
+    validate_committee,
+)
 
 
 class EnumerationCapError(PavlsError):
@@ -60,6 +68,7 @@ def is_locally_optimal(
 ) -> tuple[bool, Optional[Swap], Optional[Fraction]]:
     """Exhaustive scan of all k(m-k) swaps via from-scratch score
     differences; returns (flag, witnessing swap, its gain)."""
+    check_epsilon(epsilon)
     members = validate_committee(election, committee)
     base = pav_score(election, members)
     outside = [c for c in range(election.m) if c not in members]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     Swap,
     apply_swap,
     assert_quantized,
+    check_epsilon,
     delta,
 )
 
@@ -29,9 +29,13 @@ def _scan(
     election: Election, state: SatisfactionState, order: Optional[Sequence[int]]
 ) -> Iterator[tuple[int, int, Fraction]]:
     """Yield (outgoing, incoming, delta) for every swap in lexicographic
-    (incoming, outgoing) order under ``order`` (index order if None)."""
+    (incoming, outgoing) order under ``order`` (index order if None).
+
+    The scan installs an empty per-scan sums table on the state (see
+    :func:`delta`); applying a swap clears it."""
     if order is None:
         order = range(election.m)
+    state.sums = {}
     committee = state.committee
     outs = [c for c in order if c in committee]
     for b in order:
@@ -73,10 +77,21 @@ def next_swap_best(
     Always evaluates all k(m-k) pairs.  The first maximizer in
     lexicographic (in, out) order wins ties.
     """
-    best = max(_scan(election, state, order), key=itemgetter(2), default=None)
     k = len(state.committee)
     comparisons = k * (election.m - k)
-    if best is None or best[2] < epsilon.value:
+    scan = _scan(election, state, order)
+    best = next(scan, None)
+    if best is None:
+        return None, None, comparisons
+    # Maximum and threshold test by integer cross-multiplication; only a
+    # strictly larger delta replaces the best.
+    bn, bd = best[2].numerator, best[2].denominator
+    for item in scan:
+        d = item[2]
+        if d.numerator * bd > bn * d.denominator:
+            best, bn, bd = item, d.numerator, d.denominator
+    eps = epsilon.value
+    if bn * eps.denominator < eps.numerator * bd:
         return None, None, comparisons
     a, b, d = best
     return Swap(a, b), d, comparisons
@@ -163,6 +178,7 @@ def run(
     """
     if step_cap is not None and step_cap < 0:
         raise InvalidStepCapError(f"step cap must be >= 0, got {step_cap}")
+    check_epsilon(epsilon)
     if not isinstance(rule, PivotRule):
         raise InvalidRuleError(f"not a pivot rule: {rule!r}")
     if rule.order is not None and len(rule.order) != election.m:

@@ -26,7 +26,7 @@ from pavls import (
     validate_sequence,
 )
 from pavls.core import SatisfactionState, apply_swap, assert_quantized
-from pavls.search import next_swap_lex
+from pavls.search import next_swap_best, next_swap_lex
 
 
 def test_harmonic_values():
@@ -154,6 +154,17 @@ def test_delta_rejects_invalid(fig1a):
             delta(fig1a, state, 0, b)
         with pytest.raises(InvalidSwapError):
             apply_swap(state, Swap(0, b))
+
+
+def test_delta_rejects_state_of_another_election():
+    # Candidate 1 gains 4 voters on e2; e1's state would make it 2.
+    e1 = Election(("c0", "c1"), (BallotClass(frozenset({0}), 1),), 1)
+    e2 = Election(("c0", "c1"), (BallotClass(frozenset({1}), 4),), 1)
+    state = SatisfactionState(e1, [0])
+    with pytest.raises(PavlsError):
+        delta(e2, state, 0, 1)
+    equal = Election(e2.candidate_names, e2.ballot_classes, 1)
+    assert delta(equal, SatisfactionState(e2, [0]), 0, 1) == 4
 
 
 def test_apply_swap_updates_hits(fig1a):
@@ -375,6 +386,37 @@ def test_engine_walk_matches_scratch_scores(walk):
         _check_cells(e, state)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_walks())
+def test_scan_sums_match_one_pass_delta(walk):
+    """With a per-scan sums table installed, every pair's delta equals the
+    one-pass delta (no table) and the score change from scratch, and
+    G[b] - L[a] is a lower bound on it; applying a swap clears the table."""
+    e, committee, steps = walk
+    scale = e._cell_coefficients[0]
+    state = SatisfactionState(e, committee)
+    assert state.sums is None
+    current = frozenset(committee)
+    for step in steps + [None]:
+        score = pav_score(e, current)
+        outside = [c for c in range(e.m) if c not in current]
+        pairs = [(a, b) for b in outside for a in sorted(current)]
+        # Whatever table the last swap left in place (None) is used here.
+        one_pass = {pair: delta(e, state, *pair) for pair in pairs}
+        state.sums = {}
+        for a, b in pairs:
+            d = delta(e, state, a, b)
+            assert d == one_pass[a, b] == pav_score(e, (current - {a}) | {b}) - score
+            assert Fraction(state.sums[b] - state.sums[a][0], scale) <= d
+        if step is None:
+            break
+        i, j = step
+        a, b = sorted(current)[i], outside[j]
+        apply_swap(state, Swap(a, b))
+        assert state.sums is None
+        current = (current - {a}) | {b}
+
+
 # Candidates 0 and 1 have the same approvers, so swapping one for the
 # other gains exactly 0.
 _ZERO_GAIN = Election(("c0", "c1", "c2"),
@@ -387,7 +429,7 @@ _ZERO_GAIN = Election(("c0", "c1", "c2"),
 @example(walk=(_ZERO_GAIN, (0,), []))
 @example(walk=(_ZERO_GAIN, (0,), [(0, 0), (0, 0)]))
 def test_integer_threshold_tests_match_fraction_reference(selector, walk):
-    """The lex picker's and the replay's integer tests agree with plain
+    """The pickers' and the replay's integer tests agree with plain
     Fraction comparisons, and delta hands out one Fraction per value
     between swaps (zero included)."""
     e, committee, steps = walk
@@ -398,17 +440,23 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk):
     for step in steps + [None]:
         # Reference scan in lexicographic (incoming, outgoing) order.
         score = pav_score(e, current)
-        found, used = None, 0
+        found, used, best, total = None, 0, None, 0
         for b in (c for c in range(e.m) if c not in current):
             for a in sorted(current):
                 d = pav_score(e, (current - {a}) | {b}) - score
                 first = delta(e, state, a, b)
                 assert first == d and delta(e, state, a, b) is first
+                total += 1
+                if best is None or d > best[1]:
+                    best = (Swap(a, b), d)
                 if found is None:
                     used += 1
                     if d >= eps.value:
                         found = (Swap(a, b), d)
         assert next_swap_lex(e, state, eps) == (*(found or (None, None)), used)
+        if best is None or best[1] < eps.value:
+            best = (None, None)
+        assert next_swap_best(e, state, eps) == (*best, total)
         if step is None:
             break
         i, j = step

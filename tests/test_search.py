@@ -7,6 +7,7 @@ from pavls import (
     BestResponse,
     Election,
     Epsilon,
+    InvalidEpsilonError,
     InvalidRuleError,
     InvalidStepCapError,
     LexicographicBetterResponse,
@@ -63,6 +64,18 @@ def test_rule_input_errors_are_pavls_errors(fig1b):
     for not_a_rule in ("best", None, BestResponse):
         with pytest.raises(InvalidRuleError):
             run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), not_a_rule)
+
+
+def test_threshold_must_be_an_epsilon(fig1b):
+    # A bare Fraction, string or float is refused up front, not met by an
+    # AttributeError halfway through.
+    for bad in (Fraction(1, 2), "1/2", 0.5):
+        with pytest.raises(InvalidEpsilonError):
+            run(fig1b, {0, 1, 2}, bad, BestResponse())
+        with pytest.raises(InvalidEpsilonError):
+            validate_sequence(fig1b, {0, 1, 2}, [Swap(2, 3)], bad)
+        with pytest.raises(InvalidEpsilonError):
+            is_locally_optimal(fig1b, {0, 1, 2}, bad)
 
 
 def test_run_lex_terminates_at_local_optimum(fig1b):
