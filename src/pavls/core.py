@@ -14,7 +14,7 @@ without changing any score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -129,7 +129,10 @@ class Election:
         bad = [c for c in frozenset().union(*approves) if not 0 <= c < m]
         if bad:
             raise InvalidElectionError(f"ballot entry out of range: {bad[0]} (m={m})")
-        k = self.committee_size
+        self._check_committee_size(self.committee_size)
+
+    def _check_committee_size(self, k: Optional[int]) -> None:
+        m = len(self.candidate_names)
         if k is not None and (type(k) is not int or not 1 <= k <= m):
             raise InvalidElectionError(f"committee size {k!r} not an int in [1, {m}]")
 
@@ -143,7 +146,16 @@ class Election:
         return sum(bc.weight for bc in self.ballot_classes)
 
     def with_committee_size(self, k: int) -> "Election":
-        return replace(self, committee_size=k)
+        """This election with committee size ``k`` and no cached index.
+
+        Only ``k`` is checked: the frozen names and ballot classes were
+        validated when this election was built."""
+        self._check_committee_size(k)
+        other = object.__new__(Election)
+        object.__setattr__(other, "candidate_names", self.candidate_names)
+        object.__setattr__(other, "ballot_classes", self.ballot_classes)
+        object.__setattr__(other, "committee_size", k)
+        return other
 
     def require_committee_size(self) -> int:
         if self.committee_size is None:
@@ -216,6 +228,11 @@ def validate_committee(election: Election, committee: Iterable[int]) -> frozense
     k = election.require_committee_size()
     if len(members) != k:
         raise InvalidCommitteeError(f"committee has {len(members)} members, expected {k}")
+    # Members are exact ints: a float or a string would fail deep in the
+    # engine, and True would pass for candidate 1.
+    bad = [c for c in members if type(c) is not int]
+    if bad:
+        raise InvalidCommitteeError(f"committee members must be ints, got {bad[0]!r}")
     bad = [c for c in members if not 0 <= c < election.m]
     if bad:
         raise InvalidCommitteeError(f"committee member out of range: {bad[0]}")
@@ -392,8 +409,13 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     built once per distinct value between swaps (see
     ``SatisfactionState.values``).
     """
-    check_swap(state, a, b)
-    if state.election is not election and state.election != election:
+    # check_swap's test inline, so a valid swap costs no call; check_swap
+    # raises the error.
+    own = state.election
+    committee = state.committee
+    if a not in committee or b in committee or not 0 <= b < len(own.candidate_names):
+        check_swap(state, a, b)
+    if own is not election and own != election:
         raise PavlsError("the satisfaction state belongs to another election")
     masks = election.approval_masks
     scale, up, down, shared = election._cell_coefficients
@@ -489,24 +511,32 @@ def validate_sequence(
     """Replay ``seq`` from ``start``; certify it good iff every step has
     delta >= epsilon.
 
-    A structurally invalid swap (see :func:`check_swap`) stops the
-    replay and is reported by index; a step with delta < epsilon is a
-    certification outcome, not an error.
+    A structurally invalid swap (not a pair of ints, or see
+    :func:`check_swap`) stops the replay and is reported by index; a
+    step with delta < epsilon is a certification outcome, not an error.
     """
     check_epsilon(epsilon)
     state = SatisfactionState(election, start)
     deltas: list[Fraction] = []
     first_invalid: Optional[int] = None
     for idx, swap in enumerate(seq):
+        # A step that is not a pair of exact ints is as invalid as one
+        # whose candidates do not fit the committee.
         try:
-            d = delta(election, state, *swap)
+            a, b = swap
+        except (TypeError, ValueError):
+            a = b = None
+        try:
+            if type(a) is not int or type(b) is not int:
+                raise InvalidSwapError(f"swap {swap!r} is not a pair of ints")
+            d = delta(election, state, a, b)
         except InvalidSwapError:
             first_invalid = idx
             break
         if epsilon.quantized:
             assert_quantized(election, d)
         deltas.append(d)
-        apply_swap(state, swap)
+        apply_swap(state, (a, b))
     valid = first_invalid is None
     # Sum and compare on the common scale, in ints: every delta's
     # denominator divides it.

@@ -91,10 +91,14 @@ def select_initial_committee(election: Election) -> frozenset[int]:
     """The k candidates with highest total approval weight; ties broken
     by lowest candidate index."""
     k = election.require_committee_size()
-    totals = [0] * election.m
-    for bc in election.ballot_classes:
-        for c in bc.approves:
-            totals[c] += bc.weight
+    # A candidate's total is the sum over weight groups of the weight times
+    # the number of the group's classes approving it; the search reuses
+    # both indexes.
+    groups = election.weight_masks
+    totals = [
+        sum(weight * (mask & group).bit_count() for weight, group in groups)
+        for mask in election.approval_masks
+    ]
     ranked = sorted(range(election.m), key=lambda c: (-totals[c], c))
     return frozenset(ranked[:k])
 

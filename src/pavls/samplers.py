@@ -36,7 +36,10 @@ class ImpartialCulture:
             raise SamplerError(f"approval probability must be in [0, 1], got {self.p}")
 
     def ballots(self, rng: random.Random, n: int, m: int) -> list[frozenset[int]]:
-        return [frozenset(c for c in range(m) if rng.random() < self.p) for _ in range(n)]
+        # Voter-major, one draw per candidate; local names keep the inner
+        # loop free of attribute lookups.
+        draw, p, candidates = rng.random, self.p, range(m)
+        return [frozenset([c for c in candidates if draw() < p]) for _ in range(n)]
 
 
 @dataclass(frozen=True)

@@ -176,8 +176,8 @@ def run(
     ``step_cap`` bounds the number of executed swaps (None: no bound); a
     run that reaches it stops with ``terminated=False``.
     """
-    if step_cap is not None and step_cap < 0:
-        raise InvalidStepCapError(f"step cap must be >= 0, got {step_cap}")
+    if step_cap is not None and (type(step_cap) is not int or step_cap < 0):
+        raise InvalidStepCapError(f"step cap must be None or an int >= 0, got {step_cap!r}")
     check_epsilon(epsilon)
     if not isinstance(rule, PivotRule):
         raise InvalidRuleError(f"not a pivot rule: {rule!r}")

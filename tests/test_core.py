@@ -112,6 +112,22 @@ def test_committee_size_plumbing():
         validate_committee(e.with_committee_size(1), {0, 1})
 
 
+def test_with_committee_size_matches_constructor(fig1b):
+    # Only k is checked; the result equals a freshly validated election
+    # and carries none of the source's cached indexes.
+    source = Election(fig1b.candidate_names, fig1b.ballot_classes, None)
+    source.approval_masks
+    for k in (1, 3, fig1b.m, None):
+        e = source.with_committee_size(k)
+        assert e == Election(fig1b.candidate_names, fig1b.ballot_classes, k)
+        assert type(e) is Election and e.committee_size == k
+        assert "approval_masks" not in vars(e)
+    assert source.committee_size is None
+    for k in (0, fig1b.m + 1, -1, True, 2.0, "2"):
+        with pytest.raises(InvalidElectionError, match="committee size"):
+            source.with_committee_size(k)
+
+
 def test_election_is_frozen(fig1a):
     e = fig1a.with_committee_size(2)
     assert e.zero_plus_lcm == 2
@@ -233,6 +249,14 @@ def test_validate_sequence_structural(fig1b):
     assert cert.steps == 1
     cert = validate_sequence(fig1b, {0, 1, 2}, [Swap(2, -1)], eps)
     assert not cert.structurally_valid and cert.first_invalid_step == 0
+    # A step that is not a pair of exact ints is invalid too; (True, 2)
+    # would otherwise replay as Swap(1, 2).
+    for bad in ((0,), (0.0, 2), (True, 2), (1, 2, 4), (1, "2"), None, 5, "12"):
+        cert = validate_sequence(fig1b, {0, 1, 2}, [Swap(2, 3), bad, Swap(3, 4)], eps)
+        assert not cert.structurally_valid and cert.first_invalid_step == 1
+        assert cert.steps == 1 and cert.final_committee == frozenset({0, 1, 3})
+    cert = validate_sequence(fig1b, {0, 1, 2}, [[2, 3], (1, 4)], eps)
+    assert cert.structurally_valid and cert.final_committee == frozenset({0, 3, 4})
 
 
 def test_validate_sequence_good_and_bad(fig1b):

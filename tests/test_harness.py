@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,25 @@ def test_select_initial_weighted_matches_expansion():
     )
     e2 = Election(e.candidate_names, expanded, 2)
     assert select_initial_committee(e) == select_initial_committee(e2) == frozenset({1, 3})
+
+
+def test_select_initial_matches_ballot_totals():
+    # Reference: total approval weight summed ballot by ballot, ties to
+    # the lowest index; small weights and few candidates make ties common.
+    rng = random.Random(5)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        classes = tuple(
+            BallotClass(frozenset(c for c in range(m) if rng.random() < 0.4), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 8))
+        )
+        e = Election(tuple(f"c{i}" for i in range(m)), classes, rng.randint(1, m))
+        totals = [0] * m
+        for bc in classes:
+            for c in bc.approves:
+                totals[c] += bc.weight
+        ranked = sorted(range(m), key=lambda c: (-totals[c], c))
+        assert select_initial_committee(e) == frozenset(ranked[:e.committee_size])
 
 
 def test_nearest_rank():

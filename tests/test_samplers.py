@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 
 import pytest
@@ -47,6 +48,42 @@ def test_determinism():
         c = sample(SamplerConfig(model, 30, 10, seed=100))
         assert a == b
         assert a != c  # overwhelmingly likely at these sizes
+
+
+def test_streams_match_reference_draws():
+    # Each model's ballots, spelled out draw by draw from random.Random(seed):
+    # a rewrite of a sampler must keep its stream, or every seeded
+    # experiment changes.
+    n, m, seed = 40, 12, 2024
+
+    def ic(rng, p=0.4):
+        return [{c for c in range(m) if rng.random() < p} for _ in range(n)]
+
+    def resampling(rng, p=0.3, phi=0.6):
+        central = set(rng.sample(range(m), int(p * m)))
+        ballots = []
+        for _ in range(n):
+            ballot = set()
+            for c in range(m):
+                if rng.random() < phi:
+                    if rng.random() < p:
+                        ballot.add(c)
+                elif c in central:
+                    ballot.add(c)
+            ballots.append(ballot)
+        return ballots
+
+    def euclidean(rng, r=0.3):
+        voters = [(rng.random(), rng.random()) for _ in range(n)]
+        cands = [(rng.random(), rng.random()) for _ in range(m)]
+        return [{c for c in range(m) if math.dist(v, cands[c]) < r} for v in voters]
+
+    for model, reference in ((ImpartialCulture(0.4), ic), (Resampling(0.3, 0.6), resampling),
+                             (Euclidean(2, 0.3), euclidean)):
+        e = sample(SamplerConfig(model, n, m, seed))
+        assert [bc.approves for bc in e.ballot_classes] == reference(random.Random(seed))
+        assert all(bc.weight == 1 for bc in e.ballot_classes)
+        assert e.candidate_names == tuple(f"c{i}" for i in range(1, m + 1))
 
 
 def test_ic_extremes():

@@ -7,6 +7,7 @@ from pavls import (
     BestResponse,
     Election,
     Epsilon,
+    InvalidCommitteeError,
     InvalidEpsilonError,
     InvalidRuleError,
     InvalidStepCapError,
@@ -16,6 +17,7 @@ from pavls import (
     is_locally_optimal,
     pav_score,
     run,
+    validate_committee,
     validate_sequence,
 )
 from pavls.core import SatisfactionState
@@ -122,9 +124,28 @@ def test_step_cap(fig1b):
 
 
 def test_negative_step_cap_rejected(fig1b):
+    # A cap is None or an exact int >= 0: 1.5 and True would pass for a
+    # cap of 1, and "3" would fail the comparison with a TypeError.
     for rule in (LexicographicBetterResponse(), BestResponse()):
-        with pytest.raises(InvalidStepCapError):
-            run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), rule, step_cap=-5)
+        for cap in (-5, "3", 1.5, True, Fraction(2)):
+            with pytest.raises(InvalidStepCapError):
+                run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), rule, step_cap=cap)
+
+
+def test_committee_members_must_be_exact_ints(fig1b):
+    # A float or a string would fail deep in the engine, True would pass
+    # for candidate 1, and the oracle would report a float witness.
+    eps = Epsilon.zero_plus(3)
+    for bad in ([0.0, 1, 2], ["a", 1, 2], [True, 0, 2], [1.0, 0, 2]):
+        with pytest.raises(InvalidCommitteeError, match="must be ints"):
+            validate_committee(fig1b, bad)
+        with pytest.raises(InvalidCommitteeError):
+            run(fig1b, bad, eps, LexicographicBetterResponse())
+        with pytest.raises(InvalidCommitteeError):
+            is_locally_optimal(fig1b, bad, eps)
+        with pytest.raises(InvalidCommitteeError):
+            validate_sequence(fig1b, bad, [], eps)
+    assert validate_committee(fig1b, [2, 0, 1]) == frozenset({0, 1, 2})
 
 
 def test_scripted_replay_success(fig1b):
