@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     BallotClass,
@@ -328,6 +328,8 @@ class LayeredParams:
     k: int
 
     def __post_init__(self):
+        if type(self.levels) is not int or type(self.k) is not int:
+            raise ConstructionError(f"levels and k must be ints, got {self.levels!r}, {self.k!r}")
         if self.levels < 1:
             raise ConstructionError(f"levels must be >= 1, got {self.levels}")
         if 2 * self.levels >= self.k2 + 1:
@@ -518,14 +520,19 @@ class HardenedParams:
     """
 
     layered: LayeredParams
-    gamma: Optional[Fraction] = None
+    gamma: Optional[Union[int, Fraction]] = None
+
+    def __post_init__(self):
+        # Exact and positive: a float would reach the exact delta
+        # comparisons of certify_hardened.
+        exact = type(self.gamma) is int or isinstance(self.gamma, Fraction)
+        if self.gamma is not None and not (exact and self.gamma > 0):
+            raise ConstructionError(f"gamma must be a positive int or Fraction, got {self.gamma!r}")
 
     @property
     def gamma_value(self) -> Fraction:
         if self.gamma is not None:
-            if self.gamma <= 0:
-                raise ConstructionError(f"gamma must be positive, got {self.gamma}")
-            return self.gamma
+            return Fraction(self.gamma)
         k = self.layered.k
         return Fraction(8 * k * k * (k + 1))
 

@@ -196,17 +196,12 @@ class Election:
         return self.require_committee_size() + 2
 
     @cached_property
-    def _cell_coefficients(
-        self,
-    ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(scale, up, down, shared): per cell key g * stride + h, a voter
-        of group g at h hits gains up[key] / scale by one more hit and loses
-        down[key] / scale by one fewer (w_g/(h+1) and w_g/h, 0 at h = 0);
-        shared[key] = down[key] - up[key] is w_g/(h(h+1)) for h >= 1."""
+    def _cell_coefficients(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(scale, up, down): per cell key g * stride + h, a voter of group
+        g at h hits gains up[key] / scale by one more hit and loses
+        down[key] / scale by one fewer (w_g/(h+1) and w_g/h, 0 at h = 0)."""
         # scale = lcm(1..k+1) makes every coefficient an integer; the
         # spare slot h = k+1 is never occupied, so its values are never read.
-        # shared is only read at cells holding a seated member's approvers,
-        # where h >= 1, so it is never negative there.
         k = self.require_committee_size()
         scale = math.lcm(*range(1, k + 2))
         per_voter = [scale // d for d in range(1, k + 2)]
@@ -215,8 +210,7 @@ class Election:
         for weight, _ in self.weight_masks:
             up += [weight * t for t in per_voter] + [0]
             down += [0] + [weight * t for t in per_voter]
-        shared = tuple(d - u for d, u in zip(down, up))
-        return scale, tuple(up), tuple(down), shared
+        return scale, tuple(up), tuple(down)
 
     @cached_property
     def zero_plus_lcm(self) -> int:
@@ -244,7 +238,6 @@ class Epsilon:
     """Swap-acceptance threshold, always a positive exact rational."""
 
     value: Fraction
-    quantized: bool = False  # the 0+ threshold: every delta is checked by assert_quantized
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction) or self.value <= 0:
@@ -259,11 +252,11 @@ class Epsilon:
     @staticmethod
     def zero_plus(k: int) -> "Epsilon":
         """1/lcm(1..k): with this threshold, "delta >= eps" coincides with
-        "delta > 0" (a quantization fact asserted at runtime, see
-        :func:`assert_quantized`)."""
+        "delta > 0" (every delta is a multiple of it, as
+        :func:`assert_quantized` checks at runtime)."""
         if k < 1:
             raise InvalidEpsilonError(f"zero-plus epsilon needs k >= 1, got {k}")
-        return Epsilon(Fraction(1, lcm_range(k)), quantized=True)
+        return Epsilon(Fraction(1, lcm_range(k)))
 
     @staticmethod
     def custom(value: Union[int, Fraction, str]) -> "Epsilon":
@@ -323,18 +316,19 @@ class SatisfactionState:
     ``cells`` maps each occupied cell key g * stride + h (see
     ``Election._cell_stride``) to the mask of the classes of weight group
     g approving exactly h committee members; the masks are disjoint and
-    together cover every class.  ``values`` maps each delta numerator (on
-    the scale of ``Election._cell_coefficients``) met since the last swap
-    to its Fraction, so a scan builds each distinct value once; it holds
-    at most one scan's k(m-k) values.  ``sums`` is None outside a scan;
-    a scan installs an empty dict (see ``search._scan``) that :func:`delta`
-    fills lazily with each incoming candidate's gain sum and each outgoing
-    member's loss sum and approver parts, and :func:`apply_swap` resets it
-    to None.  Owned by exactly one run at a time; concurrent runs over the
-    same election each build their own state.
+    together cover every class.  ``scan`` holds the caches of one scan,
+    a pair of dicts (sums, values): None outside a scan,
+    :meth:`begin_scan` creates both and :func:`apply_swap` drops both.
+    During a scan :func:`delta` fills sums lazily with each incoming
+    candidate's gain sum and each outgoing member's loss sum and
+    approver parts, and values with each delta numerator (on the scale
+    of ``Election._cell_coefficients``) and its Fraction, so a scan
+    builds each distinct value once.  Owned by exactly one run at a
+    time; concurrent runs over the same election each build their own
+    state.
     """
 
-    __slots__ = ("election", "committee", "cells", "values", "sums")
+    __slots__ = ("election", "committee", "cells", "scan")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
@@ -346,8 +340,12 @@ class SatisfactionState:
         for c in members:
             cells = _move(cells, 0, masks[c])
         self.cells = cells
-        self.values: dict[int, Fraction] = {}
-        self.sums: Optional[dict] = None
+        self.scan: Optional[tuple[dict, dict[int, Fraction]]] = None
+
+    def begin_scan(self) -> None:
+        """Give :func:`delta` empty caches for a scan of the current
+        committee's swaps; the next :func:`apply_swap` drops them."""
+        self.scan = {}, {}
 
 
 def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
@@ -381,8 +379,11 @@ def pav_score(election: Election, committee: Iterable[int]) -> Fraction:
 
 
 def check_swap(state: SatisfactionState, a: int, b: int) -> None:
-    """Raise :class:`InvalidSwapError` unless ``a`` is seated and ``b`` is
-    a candidate outside the committee."""
+    """Raise :class:`InvalidSwapError` unless ``a`` and ``b`` are exact ints
+    (not bools), ``a`` is seated and ``b`` is a candidate outside the
+    committee."""
+    if type(a) is not int or type(b) is not int:
+        raise InvalidSwapError(f"swap ({a!r}, {b!r}) is not a pair of ints")
     if a not in state.committee:
         raise InvalidSwapError(f"outgoing candidate {a} not in committee")
     if b in state.committee or not 0 <= b < state.election.m:
@@ -394,20 +395,21 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
 
     Only ballot classes approving exactly one of {a, b} count: a class
     of weight w at h hits approving b but not a gains w/(h+1), one
-    approving a but not b loses w/h.  Outside a scan (``state.sums`` is
+    approving a but not b loses w/h.  Outside a scan (``state.scan`` is
     None), both sets are masks, so each occupied (weight group, hit
     count) cell of the state costs two popcounts and two multiplies by
-    cached integer coefficients.  During a scan the same value is
+    cached integer coefficients, and the Fraction is built directly.  A
+    replay evaluates one pair per state, where scan caches would cost
+    more than they save, so it takes this path.  During a scan (see
+    :meth:`SatisfactionState.begin_scan`) the same value is
 
         G[b] - L[a] + sum over the classes approving a and b of w/(h(h+1)),
 
     with G[b] = sum over b's approvers of w/(h+1) and L[a] = sum over
-    a's approvers of w/h read from ``state.sums``, so a pair costs one
-    popcount per cell holding some of a's approvers.  A replay evaluates
-    one pair per state, where building the sums would cost more than
-    they save, so it keeps the one-pass loop.  The Fraction is
-    built once per distinct value between swaps (see
-    ``SatisfactionState.values``).
+    a's approvers of w/h read from the scan's sums, so a pair costs one
+    popcount per cell holding some of a's approvers, and the Fraction is
+    built once per distinct value of the scan (see
+    :class:`SatisfactionState`).
     """
     # check_swap's test inline, so a valid swap costs no call; check_swap
     # raises the error.
@@ -418,52 +420,53 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     if own is not election and own != election:
         raise PavlsError("the satisfaction state belongs to another election")
     masks = election.approval_masks
-    scale, up, down, shared = election._cell_coefficients
-    sums = state.sums
-    if sums is None:
+    scale, up, down = election._cell_coefficients
+    scan = state.scan
+    if scan is None:
         gain = masks[b] & ~masks[a]
         loss = masks[a] & ~masks[b]
         num = 0
         for key, mask in state.cells.items():
             num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
-    else:
-        mask_b = masks[b]
-        num = sums.get(b)
-        if num is None:
-            num = sums[b] = sum(
-                (mask_b & mask).bit_count() * up[key] for key, mask in state.cells.items()
-            )
-        outgoing = sums.get(a)
-        if outgoing is None:
-            # L[a], and each non-empty part of a cell approving a with the
-            # cell's shared coefficient.
-            mask_a = masks[a]
-            loss, parts = 0, []
-            for key, mask in state.cells.items():
-                part = mask_a & mask
-                if part:
-                    loss += part.bit_count() * down[key]
-                    parts.append((part, shared[key]))
-            outgoing = sums[a] = loss, parts
-        loss, parts = outgoing
-        num -= loss
-        for part, coefficient in parts:
-            num += (part & mask_b).bit_count() * coefficient
+        return Fraction(num, scale)
+    sums, values = scan
+    mask_b = masks[b]
+    num = sums.get(b)
+    if num is None:
+        num = sums[b] = sum(
+            (mask_b & mask).bit_count() * up[key] for key, mask in state.cells.items()
+        )
+    outgoing = sums.get(a)
+    if outgoing is None:
+        # L[a], and each non-empty part of a cell approving a with its
+        # coefficient w/(h(h+1)) = w/h - w/(h+1), positive since h >= 1.
+        mask_a = masks[a]
+        loss, parts = 0, []
+        for key, mask in state.cells.items():
+            part = mask_a & mask
+            if part:
+                loss += part.bit_count() * down[key]
+                parts.append((part, down[key] - up[key]))
+        outgoing = sums[a] = loss, parts
+    loss, parts = outgoing
+    num -= loss
+    for part, coefficient in parts:
+        num += (part & mask_b).bit_count() * coefficient
     # Fraction(0) is falsy, so test for a missing entry with "is None".
-    value = state.values.get(num)
+    value = values.get(num)
     if value is None:
-        value = state.values[num] = Fraction(num, scale)
+        value = values[num] = Fraction(num, scale)
     return value
 
 
 def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
-    """Apply a swap in place; the state is untouched if the swap is invalid."""
+    """Apply a swap in place, ending any scan; the state is untouched if
+    the swap is invalid."""
     a, b = swap
     check_swap(state, a, b)
     masks = state.election.approval_masks
     state.cells = _move(state.cells, masks[a] & ~masks[b], masks[b] & ~masks[a])
-    state.values = {}
-    state.sums = None
+    state.scan = None
     state.committee.discard(a)
     state.committee.add(b)
     return state
@@ -476,12 +479,14 @@ def assert_quantized(election: Election, value: Fraction) -> None:
     loss terms have denominators in [1, k], and a gain denominator of
     k+1 would need a voter approving all of W plus the incoming
     candidate but not the outgoing one, which is contradictory.  The
-    argument is asserted here on every value rather than assumed.
+    argument is asserted here on every value rather than assumed,
+    whatever the threshold: under 1/lcm(1..k) it makes "delta >= eps"
+    coincide with "delta > 0".
     """
     if election.zero_plus_lcm % value.denominator != 0:
         raise PavlsError(
             f"delta {value} is not a multiple of 1/lcm(1..k); "
-            "zero-plus threshold assumption violated"
+            "quantization fact violated"
         )
 
 
@@ -533,8 +538,7 @@ def validate_sequence(
         except InvalidSwapError:
             first_invalid = idx
             break
-        if epsilon.quantized:
-            assert_quantized(election, d)
+        assert_quantized(election, d)
         deltas.append(d)
         apply_swap(state, (a, b))
     valid = first_invalid is None

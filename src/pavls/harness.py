@@ -62,8 +62,12 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilon", Epsilon.check_selector(self.epsilon))
         if not self.k_values:
             raise HarnessError("need at least one committee size")
-        if self.repetitions < 1:
-            raise HarnessError(f"repetitions must be >= 1, got {self.repetitions}")
+        # Exact ints: True would run one repetition, and a string or a
+        # float would fail deep inside the seed schedule.
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise HarnessError(f"repetitions must be an int >= 1, got {self.repetitions!r}")
+        if type(self.base_seed) is not int:
+            raise HarnessError(f"base seed must be an int, got {self.base_seed!r}")
         cells = len(self.k_values) * self.repetitions
         if cells > SEED_STRIDE:
             raise HarnessError(

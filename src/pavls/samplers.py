@@ -110,6 +110,9 @@ class SamplerConfig:
     def __post_init__(self):
         if not isinstance(self.model, tuple(MODELS.values())):
             raise SamplerError(f"unknown sampler model: {self.model!r}")
+        # Exact ints: n=True would sample one voter.
+        if {type(self.n), type(self.m), type(self.seed)} != {int}:
+            raise SamplerError(f"n, m and seed must be ints, got {(self.n, self.m, self.seed)}")
         if self.n < 1 or self.m < 1:
             raise SamplerError(f"need n, m >= 1, got n={self.n}, m={self.m}")
 

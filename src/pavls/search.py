@@ -31,11 +31,11 @@ def _scan(
     """Yield (outgoing, incoming, delta) for every swap in lexicographic
     (incoming, outgoing) order under ``order`` (index order if None).
 
-    The scan installs an empty per-scan sums table on the state (see
-    :func:`delta`); applying a swap clears it."""
+    The scan opens the state's per-scan caches (see
+    :meth:`SatisfactionState.begin_scan`); applying a swap drops them."""
     if order is None:
         order = range(election.m)
-    state.sums = {}
+    state.begin_scan()
     committee = state.committee
     outs = [c for c in order if c in committee]
     for b in order:
@@ -198,8 +198,7 @@ def run(
         comparisons += used
         if swap is None:
             break
-        if epsilon.quantized:
-            assert_quantized(election, d)
+        assert_quantized(election, d)
         apply_swap(state, swap)
         executed.append(swap)
         deltas.append(d)

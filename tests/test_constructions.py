@@ -202,6 +202,10 @@ def test_layered_params_validation():
         LayeredParams(3, 8)  # level arity 6 not below k2+1 = 6
     with pytest.raises(ConstructionError):
         LayeredParams(0, 8)
+    # Exact ints only: 2.0 and True would build, "21" would raise TypeError.
+    for levels, k in ((2.0, 21), (True, 21), (2, "21"), (2, 21.0)):
+        with pytest.raises(ConstructionError):
+            LayeredParams(levels, k)
     with pytest.raises(ConstructionError):
         p.level_arity(3)
 
@@ -310,8 +314,12 @@ def test_hardened_params():
     assert hp.blocker_weight == 2 * hp.gamma_value
     tight = HardenedParams(LayeredParams(2, 32), gamma=Fraction(5, 2))
     assert tight.blocker_weight == 5
-    with pytest.raises(ConstructionError):
-        HardenedParams(LayeredParams(2, 32), gamma=Fraction(0)).gamma_value
+    assert HardenedParams(LayeredParams(2, 32), gamma=5).gamma_value == Fraction(5)
+    # gamma is checked when the params are built, before anything reads
+    # gamma_value: a float would reach the exact delta comparisons.
+    for bad in (Fraction(0), Fraction(-1), 0, 0.5, True, "5"):
+        with pytest.raises(ConstructionError):
+            HardenedParams(LayeredParams(2, 32), gamma=bad)
 
 
 def test_hardened_rejects_failing_gain():

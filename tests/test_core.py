@@ -25,8 +25,10 @@ from pavls import (
     validate_committee,
     validate_sequence,
 )
+import pavls.core
+import pavls.search
 from pavls.core import SatisfactionState, apply_swap, assert_quantized
-from pavls.search import next_swap_best, next_swap_lex
+from pavls.search import RULES, next_swap_best, next_swap_lex, run
 
 
 def test_harmonic_values():
@@ -190,9 +192,11 @@ def test_apply_swap_updates_hits(fig1a):
     # class 0 (weight group 0) approves two members (0, 1), class 1
     # (weight group 1) approves one (3); the stride is k + 2 = 5
     assert state.cells == {2: 0b01, 5 + 1: 0b10}
-    with pytest.raises(InvalidSwapError):
-        apply_swap(state, Swap(2, 4))
-    assert state.committee == {0, 1, 3}  # untouched on failure
+    # Candidates are exact ints: True would pass for seated candidate 1.
+    for bad in (Swap(2, 4), Swap(True, 4), Swap(0, 4.0)):
+        with pytest.raises(InvalidSwapError):
+            apply_swap(state, bad)
+        assert state.committee == {0, 1, 3}  # untouched on failure
 
 
 def test_epsilon_kinds(fig1b):
@@ -215,8 +219,10 @@ def test_epsilon_kinds(fig1b):
         with pytest.raises(InvalidEpsilonError):
             Epsilon(bad)
     assert Epsilon.custom(" 1/3 ").value == Fraction(1, 3) and Epsilon.custom(2).value == 2
-    assert Epsilon.zero_plus(3).quantized
-    assert not Epsilon.threshold(fig1b).quantized and not Epsilon.custom(1).quantized
+    # A threshold is its value alone: every delta is checked for
+    # quantization, whatever the threshold.
+    with pytest.raises(TypeError):
+        Epsilon(Fraction(1, 6), quantized=True)
 
 
 def test_epsilon_resolve(fig1b):
@@ -239,6 +245,20 @@ def test_assert_quantized(fig1a):
     assert_quantized(fig1a, Fraction(5, 6))  # lcm(1..3) = 6
     with pytest.raises(Exception):
         assert_quantized(fig1a, Fraction(1, 7))
+
+
+@pytest.mark.parametrize("selector", ["threshold", "1/2"])
+def test_every_threshold_checks_quantization(fig1a, monkeypatch, selector):
+    """Whatever the threshold, an executed or replayed delta that is not
+    a multiple of 1/lcm(1..k) raises."""
+    eps = Epsilon.resolve(selector, fig1a)
+    unquantized = lambda *_: Fraction(10**9, 7)  # far above either threshold
+    monkeypatch.setattr(pavls.search, "delta", unquantized)
+    monkeypatch.setattr(pavls.core, "delta", unquantized)
+    with pytest.raises(PavlsError, match="multiple of 1/lcm"):
+        run(fig1a, {0, 1, 2}, eps, RULES["lex-better"], step_cap=1)
+    with pytest.raises(PavlsError, match="multiple of 1/lcm"):
+        validate_sequence(fig1a, {0, 1, 2}, [Swap(2, 3)], eps)
 
 
 def test_validate_sequence_structural(fig1b):
@@ -413,31 +433,32 @@ def test_engine_walk_matches_scratch_scores(walk):
 @settings(max_examples=300, deadline=None)
 @given(_walks())
 def test_scan_sums_match_one_pass_delta(walk):
-    """With a per-scan sums table installed, every pair's delta equals the
-    one-pass delta (no table) and the score change from scratch, and
-    G[b] - L[a] is a lower bound on it; applying a swap clears the table."""
+    """With a scan's caches open, every pair's delta equals the one-pass
+    delta (no caches) and the score change from scratch, and G[b] - L[a]
+    is a lower bound on it; applying a swap drops the caches."""
     e, committee, steps = walk
     scale = e._cell_coefficients[0]
     state = SatisfactionState(e, committee)
-    assert state.sums is None
+    assert state.scan is None
     current = frozenset(committee)
     for step in steps + [None]:
         score = pav_score(e, current)
         outside = [c for c in range(e.m) if c not in current]
         pairs = [(a, b) for b in outside for a in sorted(current)]
-        # Whatever table the last swap left in place (None) is used here.
+        # Whatever caches the last swap left in place (None) are used here.
         one_pass = {pair: delta(e, state, *pair) for pair in pairs}
-        state.sums = {}
+        state.begin_scan()
         for a, b in pairs:
             d = delta(e, state, a, b)
             assert d == one_pass[a, b] == pav_score(e, (current - {a}) | {b}) - score
-            assert Fraction(state.sums[b] - state.sums[a][0], scale) <= d
+            sums = state.scan[0]
+            assert Fraction(sums[b] - sums[a][0], scale) <= d
         if step is None:
             break
         i, j = step
         a, b = sorted(current)[i], outside[j]
         apply_swap(state, Swap(a, b))
-        assert state.sums is None
+        assert state.scan is None
         current = (current - {a}) | {b}
 
 
@@ -455,7 +476,7 @@ _ZERO_GAIN = Election(("c0", "c1", "c2"),
 def test_integer_threshold_tests_match_fraction_reference(selector, walk):
     """The pickers' and the replay's integer tests agree with plain
     Fraction comparisons, and delta hands out one Fraction per value
-    between swaps (zero included)."""
+    within a scan (zero included)."""
     e, committee, steps = walk
     eps = Epsilon.resolve(selector, e)
     state = SatisfactionState(e, committee)
@@ -465,11 +486,11 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk):
         # Reference scan in lexicographic (incoming, outgoing) order.
         score = pav_score(e, current)
         found, used, best, total = None, 0, None, 0
+        reference = {}
         for b in (c for c in range(e.m) if c not in current):
             for a in sorted(current):
-                d = pav_score(e, (current - {a}) | {b}) - score
-                first = delta(e, state, a, b)
-                assert first == d and delta(e, state, a, b) is first
+                d = reference[a, b] = pav_score(e, (current - {a}) | {b}) - score
+                assert delta(e, state, a, b) == d
                 total += 1
                 if best is None or d > best[1]:
                     best = (Swap(a, b), d)
@@ -477,6 +498,12 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk):
                     used += 1
                     if d >= eps.value:
                         found = (Swap(a, b), d)
+        state.begin_scan()
+        interned = {}
+        for (a, b), d in reference.items():
+            first = delta(e, state, a, b)
+            assert first == d and delta(e, state, a, b) is first
+            assert interned.setdefault(d, first) is first
         assert next_swap_lex(e, state, eps) == (*(found or (None, None)), used)
         if best is None or best[1] < eps.value:
             best = (None, None)

@@ -113,8 +113,14 @@ def test_config_validation():
     source = SamplerConfig(ImpartialCulture(0.5), 10, 5, 0)
     with pytest.raises(HarnessError):
         ExperimentConfig(source, ())
-    with pytest.raises(HarnessError):
-        ExperimentConfig(source, (2,), repetitions=0)
+    # Exact ints only: True would run one repetition, and a string, a float
+    # or None would raise TypeError.
+    for bad in (0, "3", 1.5, True, None):
+        with pytest.raises(HarnessError):
+            ExperimentConfig(source, (2,), repetitions=bad)
+    for bad in ("x", 1.0, True, None):
+        with pytest.raises(HarnessError):
+            ExperimentConfig(source, (2,), base_seed=bad)
     with pytest.raises(HarnessError):
         ExperimentConfig(source, (2,), rules=("bogus",))
     with pytest.raises(InvalidEpsilonError):

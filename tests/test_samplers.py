@@ -26,6 +26,11 @@ def test_parameter_validation():
         Euclidean(2, 0.0)
     with pytest.raises(SamplerError):
         SamplerConfig(ImpartialCulture(0.5), 0, 5, 1)
+    # Exact ints only: n=True would sample one voter, n=2.5 raise TypeError.
+    for n, m, seed in ((True, 5, 1), (2.5, 5, 1), ("5", 5, 1), (5, 5.0, 1), (5, 5, "1"),
+                       (5, 5, 1.0), (5, 5, None)):
+        with pytest.raises(SamplerError):
+            SamplerConfig(ImpartialCulture(0.5), n, m, seed)
 
 
 def test_dispatch_checks_model():
