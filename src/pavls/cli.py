@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import constructions as cons
 from .core import Election, Epsilon, PavlsError, Swap, pav_score, validate_sequence
@@ -35,9 +35,12 @@ def _parse_int_list(text: str, line: Optional[int] = None) -> list[int]:
         raise FormatError(f"expected integers, got {text.strip()!r}", line=line) from None
 
 
-def _read_text(path: str) -> str:
+def _read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The file's lines with their 1-based numbers, read as they are
+    consumed; a read error anywhere in the file is an input error."""
     try:
-        return Path(path).read_text()
+        with open(path) as lines:
+            yield from enumerate(lines, 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise PavlsError(f"cannot read {path}: {exc}") from None
 
@@ -45,7 +48,7 @@ def _read_text(path: str) -> str:
 def _load_election(args) -> Election:
     if args.election is None:
         raise PavlsError(f"{args.command} needs --election")
-    text = _read_text(args.election)
+    text = "".join(line for _, line in _read_lines(args.election))
     if args.format == "preflib-cat":
         cats = set(_parse_int_list(args.approve_categories or "1"))
         election = parse_preflib_categorical(text, cats)
@@ -57,27 +60,23 @@ def _load_election(args) -> Election:
 
 
 def _read_committee(path: str) -> list[int]:
-    lines = _read_text(path).splitlines()
-    return [c for lineno, line in enumerate(lines, 1) for c in _parse_int_list(line, lineno)]
+    return [c for lineno, line in _read_lines(path) for c in _parse_int_list(line, lineno)]
 
 
-def _read_sequence(path: str) -> list[Swap]:
-    seq = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+def _read_sequence(path: str) -> Iterator[Swap]:
+    for lineno, line in _read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         pair = _parse_int_list(line, lineno)
         if len(pair) != 2:
             raise FormatError(f"swap line needs 'out in', got {line!r}", line=lineno)
-        seq.append(Swap(*pair))
-    return seq
+        yield Swap(*pair)
 
 
-def _write_sequence(path: str, seq: list[Swap]) -> None:
-    Path(path).write_text(
-        "".join(f"{s.out_candidate} {s.in_candidate}\n" for s in seq)
-    )
+def _write_sequence(path: str, seq: Iterable[Swap]) -> None:
+    with open(path, "w") as out:
+        out.writelines(f"{s.out_candidate} {s.in_candidate}\n" for s in seq)
 
 
 def _add_election_args(
@@ -133,7 +132,9 @@ def _gamma(text: Optional[str]) -> Optional[Fraction]:
         raise cons.ConstructionError(f"gamma must be a fraction, got {text!r}") from None
 
 
-def _construct(args) -> tuple[cons.LabeledElection, Optional[list[Swap]], Optional[frozenset[int]]]:
+def _construct(args) -> tuple[
+    cons.LabeledElection, Optional[Iterable[Swap]], Optional[frozenset[int]]
+]:
     fam = args.family
     if fam == "warmup":
         labeled = cons.warmup_election(args.k)
@@ -147,10 +148,10 @@ def _construct(args) -> tuple[cons.LabeledElection, Optional[list[Swap]], Option
     params = cons.LayeredParams(levels=args.levels, k=args.k)
     if fam == "layered":
         labeled = cons.layered_election(params)
-        seq = list(cons.iter_x_sequence(params, params.levels, 1))
+        seq = cons.iter_x_sequence(params, params.levels, 1)
     else:  # hardened
         labeled = cons.hardened_election(cons.HardenedParams(params, _gamma(args.gamma)))
-        seq = list(cons.iter_z_sequence(params, params.levels, 1))
+        seq = cons.iter_z_sequence(params, params.levels, 1)
     return labeled, seq, cons.layered_initial_committee(params)
 
 
@@ -182,9 +183,13 @@ def _cmd_construct(args) -> int:
 def _cmd_certify(args) -> int:
     election = _load_election(args)
     initial = _read_committee(args.initial)
-    seq = _read_sequence(args.sequence)
     eps = Epsilon.resolve(args.epsilon, election)
+    seq = _read_sequence(args.sequence)
     cert = validate_sequence(election, initial, seq, eps)
+    # The replay stops at an invalid step; a malformed line after it is
+    # still an input error.
+    for _ in seq:
+        pass
     print(f"steps: {cert.steps}")
     print(f"structurally valid: {cert.structurally_valid}")
     if cert.first_invalid_step is not None:

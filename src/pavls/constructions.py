@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, zip_longest
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
@@ -523,6 +524,8 @@ class HardenedParams:
     gamma: Optional[Union[int, Fraction]] = None
 
     def __post_init__(self):
+        if not isinstance(self.layered, LayeredParams):
+            raise ConstructionError(f"layered must be a LayeredParams, got {self.layered!r}")
         # Exact and positive: a float would reach the exact delta
         # comparisons of certify_hardened.
         exact = type(self.gamma) is int or isinstance(self.gamma, Fraction)
@@ -598,7 +601,8 @@ class HardenedCertificate:
 def certify_hardened(hp: HardenedParams, step_cap: Optional[int] = None) -> HardenedCertificate:
     """Run lexicographic better response on the hardened instance and
     check it executes exactly the predicted shortcut sequence, with
-    every observed delta within the gamma bound."""
+    every observed delta within the gamma bound.  With ``step_cap`` the
+    prediction is the sequence's first ``step_cap`` swaps."""
     params = hp.layered
     labeled = hardened_election(hp)
     eps = Epsilon.zero_plus(params.k)
@@ -613,14 +617,9 @@ def certify_hardened(hp: HardenedParams, step_cap: Optional[int] = None) -> Hard
     for idx, d in enumerate(trace.step_deltas):
         if d > gamma:
             raise GammaTooSmallError(idx, d, gamma)
-    predicted = list(iter_z_sequence(params, params.levels, 1))
-    first_mismatch = None
-    for idx, (got, want) in enumerate(zip(trace.executed_swaps, predicted)):
-        if got != want:
-            first_mismatch = idx
-            break
-    if first_mismatch is None and len(trace.executed_swaps) != len(predicted):
-        first_mismatch = min(len(trace.executed_swaps), len(predicted))
+    predicted = list(islice(iter_z_sequence(params, params.levels, 1), step_cap))
+    pairs = enumerate(zip_longest(trace.executed_swaps, predicted))
+    first_mismatch = next((idx for idx, (got, want) in pairs if got != want), None)
     return HardenedCertificate(
         trace=trace,
         predicted=predicted,

@@ -19,7 +19,6 @@ import csv
 import io
 import re
 import warnings
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import BallotClass, Election, PavlsError
@@ -262,12 +261,6 @@ def parse_preflib_categorical(
 # CSV emission
 
 
-def _render_cell(value: object) -> object:
-    if isinstance(value, Fraction):
-        return str(value)  # "num/den", or plain integer string
-    return value
-
-
 def write_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     """Render rows under a fixed column schema.
 
@@ -283,5 +276,5 @@ def write_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
             raise FormatError(
                 f"row {i} keys {sorted(row)} do not match schema {sorted(expected)}"
             )
-        writer.writerow([_render_cell(row[col]) for col in columns])
+        writer.writerow([row[col] for col in columns])
     return buf.getvalue()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from .core import BallotClass, Election, PavlsError
@@ -25,6 +26,12 @@ class SamplerError(PavlsError):
     pass
 
 
+def _check_number(name: str, value: object) -> None:
+    # A bool would pass for 0 or 1 and a str fails later with a TypeError.
+    if type(value) not in (int, float) and not isinstance(value, Fraction):
+        raise SamplerError(f"{name} must be an int, float or Fraction, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ImpartialCulture:
     """Each voter approves each candidate independently with probability p."""
@@ -32,6 +39,7 @@ class ImpartialCulture:
     p: float
 
     def __post_init__(self):
+        _check_number("p", self.p)
         if not 0 <= self.p <= 1:
             raise SamplerError(f"approval probability must be in [0, 1], got {self.p}")
 
@@ -52,6 +60,8 @@ class Resampling:
     phi: float
 
     def __post_init__(self):
+        _check_number("p", self.p)
+        _check_number("phi", self.phi)
         if not 0 <= self.p <= 1:
             raise SamplerError(f"approval probability must be in [0, 1], got {self.p}")
         if not 0 <= self.phi <= 1:
@@ -81,7 +91,8 @@ class Euclidean:
     r: float
 
     def __post_init__(self):
-        if self.d not in (1, 2):
+        _check_number("r", self.r)
+        if type(self.d) is not int or self.d not in (1, 2):
             raise SamplerError(f"dimension must be 1 or 2, got {self.d}")
         if not self.r > 0:
             raise SamplerError(f"radius must be positive, got {self.r}")

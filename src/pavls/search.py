@@ -110,7 +110,11 @@ class PivotRule:
     order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.order is not None and sorted(self.order) != list(range(len(self.order))):
+        # Exact ints: 0.0 and True pass the permutation test as 0 and 1.
+        order = self.order
+        if order is not None and (
+            any(type(c) is not int for c in order) or sorted(order) != list(range(len(order)))
+        ):
             raise InvalidRuleError("candidate order must be a permutation of range(m)")
 
     def pick(self, election: Election, state: SatisfactionState, epsilon: Epsilon):

@@ -172,6 +172,33 @@ def test_malformed_sequence_exit_code(tmp_path, capsys):
     _assert_input_error(
         capsys, ["certify", "--election", str(e_path), "--initial", str(init_path),
                  "--sequence", str(seq_path)], "line 1: swap line needs")
+    # The replay stops at the invalid first swap; the malformed line after
+    # it is still found, by its number.
+    seq_path.write_text("0 0\n\n0 x\n")
+    _assert_input_error(
+        capsys, ["certify", "--election", str(e_path), "--initial", str(init_path),
+                 "--sequence", str(seq_path)], "line 3: ")
+    # Unreadable sequence files are input errors too.
+    seq_path.write_bytes(b"0 1\n\xff\n")
+    for path in (seq_path, tmp_path / "missing.txt"):
+        _assert_input_error(
+            capsys, ["certify", "--election", str(e_path), "--initial", str(init_path),
+                     "--sequence", str(path)], "cannot read")
+
+
+def test_certify_reads_committee_before_sequence(tmp_path, capsys):
+    e_path, seq_path, init_path = (
+        tmp_path / "e.pavls", tmp_path / "seq.txt", tmp_path / "w0.txt")
+    main(["construct", "--family", "warmup", "-k", "8", "-o", str(e_path),
+          "--sequence-out", str(seq_path)])
+    # The sequence's later lines are malformed: reading it first would
+    # report them instead of the empty committee.
+    with seq_path.open("a") as f:
+        f.write("0 x\n")
+    init_path.write_text("")
+    _assert_input_error(
+        capsys, ["certify", "--election", str(e_path), "--initial", str(init_path),
+                 "--sequence", str(seq_path)], "committee has 0 members")
 
 
 def test_malformed_initial_exit_code(tmp_path, capsys, fig1b):

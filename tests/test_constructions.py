@@ -320,6 +320,10 @@ def test_hardened_params():
     for bad in (Fraction(0), Fraction(-1), 0, 0.5, True, "5"):
         with pytest.raises(ConstructionError):
             HardenedParams(LayeredParams(2, 32), gamma=bad)
+    # So is layered: a tuple used to fail only when gamma_value read .k.
+    for bad in ((2, 21), None):
+        with pytest.raises(ConstructionError):
+            HardenedParams(bad)
 
 
 def test_hardened_rejects_failing_gain():
@@ -377,6 +381,44 @@ def test_certify_hardened_small():
             col[lab.candidate(f"c[{i},{q}]")] = i
     for swap in cert.trace.executed_swaps:
         assert col[swap.out_candidate] == col[swap.in_candidate]
+
+
+def test_certify_hardened_capped_compares_prefix():
+    params = LayeredParams(2, 22)
+    cert = certify_hardened(HardenedParams(params), step_cap=5)
+    assert cert.trace.swaps == 5 and not cert.trace.terminated
+    assert cert.matches and cert.first_mismatch is None
+    assert cert.predicted == list(iter_z_sequence(params, params.levels, 1))[:5]
+
+
+def test_certify_hardened_reports_first_mismatch(monkeypatch):
+    import pavls.constructions as cons
+
+    true_z, true_run = cons.iter_z_sequence, cons.run
+
+    def wrong_z(index=None, length=None):
+        """The z-sequence with swap ``index`` reversed, cut to ``length`` swaps."""
+        def fake(params, level, parity=1):
+            for idx, swap in enumerate(true_z(params, level, parity)):
+                if idx == length:
+                    return
+                yield Swap(swap.in_candidate, swap.out_candidate) if idx == index else swap
+        return fake
+
+    hp = HardenedParams(LayeredParams(2, 21))
+    # A wrong swap inside the compared prefix, and predictions shorter
+    # than the capped and the uncapped run.
+    for fake, cap, first in ((wrong_z(index=3), 5, 3), (wrong_z(length=2), 5, 2),
+                             (wrong_z(length=7), None, 7)):
+        monkeypatch.setattr(cons, "iter_z_sequence", fake)
+        cert = certify_hardened(hp, step_cap=cap)
+        assert not cert.matches and cert.first_mismatch == first
+    # A run that stops before the prediction ends mismatches where it stopped.
+    monkeypatch.setattr(cons, "iter_z_sequence", true_z)
+    monkeypatch.setattr(cons, "run", lambda *args, step_cap: true_run(*args, step_cap=4))
+    cert = certify_hardened(hp, step_cap=5)
+    assert len(cert.predicted) == 5
+    assert not cert.matches and cert.first_mismatch == 4
 
 
 def test_certify_hardened_gamma_too_small():

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,17 @@ def test_parameter_validation():
         Euclidean(3, 0.1)
     with pytest.raises(SamplerError):
         Euclidean(2, 0.0)
+    # Exact types: d is an int, p, phi and r an int, float or Fraction.
+    # True would sample one dimension and 2.0 or a str raise TypeError.
+    for make in (lambda: Euclidean(True, 0.3), lambda: Euclidean(2.0, 0.3),
+                 lambda: Euclidean(2, "0.3"), lambda: ImpartialCulture("0.5"),
+                 lambda: ImpartialCulture(True), lambda: Resampling(0.5, "x"),
+                 lambda: Resampling(False, 0.5), lambda: ImpartialCulture(None)):
+        with pytest.raises(SamplerError):
+            make()
+    for model in (ImpartialCulture(Fraction(1, 2)), Resampling(1, Fraction(1, 3)),
+                  Euclidean(1, Fraction(1, 4))):
+        assert sample(SamplerConfig(model, 5, 4, 1)).n == 5
     with pytest.raises(SamplerError):
         SamplerConfig(ImpartialCulture(0.5), 0, 5, 1)
     # Exact ints only: n=True would sample one voter, n=2.5 raise TypeError.

@@ -61,6 +61,10 @@ def test_custom_order_changes_selection(fig1b):
 def test_rule_input_errors_are_pavls_errors(fig1b):
     with pytest.raises(PavlsError):
         LexicographicBetterResponse((0, 0, 1))
+    # 0.0 and True pass a permutation test as 0 and 1.
+    for order in ((0.0, 1, 2, 3), (True, 0, 2, 3)):
+        with pytest.raises(InvalidRuleError):
+            LexicographicBetterResponse(order)
     with pytest.raises(PavlsError):
         run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), BestResponse((2, 0, 1)))
     for not_a_rule in ("best", None, BestResponse):
