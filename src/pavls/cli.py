@@ -16,13 +16,7 @@ from typing import Iterable, Iterator, Optional
 from . import constructions as cons
 from .core import Election, Epsilon, PavlsError, Swap, pav_score, validate_sequence
 from .formats import FormatError, parse_native, parse_preflib_categorical, serialize_native
-from .harness import (
-    RULE_NAMES,
-    ExperimentConfig,
-    run_experiment,
-    select_initial_committee,
-    write_outputs,
-)
+from .harness import RULE_NAMES, ExperimentConfig, run_experiment, select_initial_committee
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_force_optimum, is_locally_optimal
 from .samplers import MODELS, SamplerConfig, sample
 from .search import RULES, run as run_search
@@ -74,9 +68,14 @@ def _read_sequence(path: str) -> Iterator[Swap]:
         yield Swap(*pair)
 
 
-def _write_sequence(path: str, seq: Iterable[Swap]) -> None:
+def _write(path: Optional[Path | str], chunks: Iterable[str]) -> None:
+    """Write the chunks to the file at path, or to standard output when
+    there is no path; the one place the CLI writes its outputs."""
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
     with open(path, "w") as out:
-        out.writelines(f"{s.out_candidate} {s.in_candidate}\n" for s in seq)
+        out.writelines(chunks)
 
 
 def _add_election_args(
@@ -115,11 +114,7 @@ def _cmd_sample(args) -> int:
     election = sample(_sampler_config(args, args.seed))
     if args.k is not None:
         election = election.with_committee_size(args.k)
-    text = serialize_native(election)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, (serialize_native(election),))
     return 0
 
 
@@ -161,22 +156,18 @@ def _cmd_construct(args) -> int:
         raise PavlsError(f"family {args.family!r} has no associated sequence")
     if args.initial_out and initial is None:
         raise PavlsError(f"family {args.family!r} has no associated committee")
-    text = serialize_native(labeled.election)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, (serialize_native(labeled.election),))
     if args.labels_out:
         sidecar = {
             "candidate_labels": labeled.candidate_labels,
             "voter_groups": {g: sorted(v) for g, v in labeled.voter_groups.items()},
             "counterpart": labeled.counterpart,
         }
-        Path(args.labels_out).write_text(json.dumps(sidecar, indent=2) + "\n")
+        _write(args.labels_out, (json.dumps(sidecar, indent=2), "\n"))
     if args.sequence_out:
-        _write_sequence(args.sequence_out, seq)
+        _write(args.sequence_out, (f"{s.out_candidate} {s.in_candidate}\n" for s in seq))
     if args.initial_out:
-        Path(args.initial_out).write_text(" ".join(map(str, sorted(initial))) + "\n")
+        _write(args.initial_out, (" ".join(map(str, sorted(initial))), "\n"))
     return 0
 
 
@@ -233,7 +224,11 @@ def _cmd_experiment(args) -> int:
         base_seed=args.seed,
     )
     result = run_experiment(config)
-    runs_path, agg_path = write_outputs(result, args.out)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    runs_path, agg_path = out / "runs.csv", out / "aggregate.csv"
+    _write(runs_path, (result.runs_csv(),))
+    _write(agg_path, (result.aggregate_csv(),))
     print(f"wrote {runs_path} and {agg_path}")
     failures = [r for r in result.runs if r["error"]]
     for r in failures:
@@ -341,9 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # An output file or directory that cannot be written is an input
+    # error, like a file that cannot be read: exit 2, not a traceback.
     try:
         return args.func(args)
-    except PavlsError as exc:
+    except (PavlsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

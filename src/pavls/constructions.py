@@ -140,10 +140,16 @@ def _rename(ballot: frozenset[str], names: dict[str, Iterable[str]]) -> frozense
 # Atomic gain value
 
 
+def _check_depth(what: str, j: int, k: int) -> None:
+    # Exact ints: f_election(1.0, 3) would build an election, and a float
+    # k would fail deep inside the recursion.
+    if type(j) is not int or type(k) is not int or not 1 <= j < k:
+        raise ConstructionError(f"{what} needs ints 1 <= j < k, got j={j!r}, k={k!r}")
+
+
 def delta_formula(j: int, k: int) -> Fraction:
     """j! / ((k)(k-1)...(k-j)), the pivotal swap's exact score gain."""
-    if not 1 <= j < k:
-        raise ConstructionError(f"delta_formula undefined for j={j}, k={k} (need 1 <= j < k)")
+    _check_depth("delta_formula", j, k)
     denom = 1
     for jp in range(j + 1):
         denom *= k - jp
@@ -152,6 +158,11 @@ def delta_formula(j: int, k: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Warm-up family (quadratic lower bound for the n/k^2 threshold)
+
+
+def _check_warmup_size(k: int) -> None:
+    if type(k) is not int or k < 4:
+        raise ConstructionError(f"warmup family needs an int k >= 4, got {k!r}")
 
 
 def warmup_election(k: int) -> LabeledElection:
@@ -164,8 +175,7 @@ def warmup_election(k: int) -> LabeledElection:
     staircase groups S_j pay for each forward step on the long chain,
     and the dummy group U pads the voter count to just below k^2/2.
     """
-    if k < 4:
-        raise ConstructionError(f"warmup family needs k >= 4, got {k}")
+    _check_warmup_size(k)
     t = k // 4
     b = _Builder(
         [f"c[1,{i}]" for i in range(1, t + 2)]
@@ -196,8 +206,7 @@ def warmup_initial_committee(labeled: LabeledElection) -> frozenset[int]:
 def warmup_sequence(k: int) -> list[Swap]:
     """The full good-swap sequence: sweep the short chain up, advance the
     long chain, sweep back down, and so on for k-1 rounds."""
-    if k < 4:
-        raise ConstructionError(f"warmup family needs k >= 4, got {k}")
+    _check_warmup_size(k)
     t = k // 4
     c1 = lambda i: i - 1
     c2 = lambda j: (t + 1) + (j - 1)
@@ -216,11 +225,6 @@ def warmup_sequence(k: int) -> list[Swap]:
 _SWAP_AB = {"a": ("b",), "b": ("a",)}
 
 
-def _check_depth(family: str, j: int, k: int) -> None:
-    if not 1 <= j < k:
-        raise ConstructionError(f"{family} family needs 1 <= j < k, got j={j}, k={k}")
-
-
 def _f_ballots(j: int, k: int) -> list[frozenset[str]]:
     """F(0, k) is the single ballot {d1..d(k-1), b}; F(j, k) merges a
     role-swapped F(j-1, k) with F(j-1, k-1)."""
@@ -233,7 +237,7 @@ def _f_ballots(j: int, k: int) -> list[frozenset[str]]:
 def f_election(j: int, k: int) -> LabeledElection:
     """Recursive merge family over candidates d1..d(k-1), a, b with 2^j
     unit-weight ballots."""
-    _check_depth("f", j, k)
+    _check_depth("f family", j, k)
     ballots = _f_ballots(j, k)
     b = _Builder(_dummies(k - 1) + ["a", "b"])
     half = len(ballots) // 2
@@ -246,7 +250,7 @@ def f_election(j: int, k: int) -> LabeledElection:
 def _e_ballots(j: int, k: int) -> tuple[list[frozenset[str]], dict[int, int]]:
     """A role-swapped copy of F(j-1, k-1) with x added, then the copy
     itself with y added; voter i and voter half+i are counterparts."""
-    _check_depth("e", j, k)
+    _check_depth("e family", j, k)
     base = _f_ballots(j - 1, k - 1)
     half = len(base)
     first = [_rename(ballot, _SWAP_AB) | {"x"} for ballot in base]
@@ -280,8 +284,6 @@ def _et_ballots(
     names ``y`` and d1..d(k-2), with the copy index (1-based) attached,
     plus the merged counterpart map."""
     t = len(chain) - 1
-    if t < 1:
-        raise ConstructionError(f"e_t family needs t >= 1, got {t}")
     base, base_cp = _e_ballots(j, k)
     out: list[tuple[frozenset[str], int]] = []
     counterpart: dict[int, int] = {}
@@ -303,6 +305,8 @@ def _et_ballots(
 def e_t_election(t: int, j: int, k: int) -> LabeledElection:
     """t chained copies of the e family sharing the candidate chain
     c1..c(t+1) and the direction flags x, y."""
+    if type(t) is not int or t < 1:
+        raise ConstructionError(f"e_t family needs an int t >= 1, got {t!r}")
     chain = [f"c{q}" for q in range(1, t + 2)]
     ballots, counterpart = _et_ballots(chain, {"x"}, {"y"}, j, k)
     b = _Builder(chain + ["x", "y"] + _dummies(k - 2))
@@ -348,8 +352,7 @@ class LayeredParams:
         return self.k - self.levels
 
     def level_arity(self, i: int) -> int:
-        if not 1 <= i <= self.levels:
-            raise ConstructionError(f"level {i} not in [1, {self.levels}]")
+        _check_level(self, i)
         return 2 * self.levels - 2 * (i - 1)
 
     @staticmethod
@@ -359,6 +362,11 @@ class LayeredParams:
         if k < 1:
             raise ConstructionError(f"asymptotic level count needs k >= 1, got {k}")
         return max(1, math.ceil(math.log2(k)))
+
+
+def _check_level(params: LayeredParams, level: int) -> None:
+    if type(level) is not int or not 1 <= level <= params.levels:
+        raise ConstructionError(f"level {level!r} not in [1, {params.levels}]")
 
 
 def layered_candidate_index(params: LayeredParams, i: int, q: int) -> int:
@@ -475,20 +483,24 @@ def min_k_gain_search(
 
 def x_length(params: LayeredParams, level: int) -> int:
     """len(1) = t, len(i) = t * (len(i-1) + 1)."""
-    if not 1 <= level <= params.levels:
-        raise ConstructionError(f"level {level} not in [1, {params.levels}]")
+    _check_level(params, level)
     length = params.t
     for _ in range(2, level + 1):
         length = params.t * (length + 1)
     return length
 
 
+def _check_sweep(params: LayeredParams, level: int, parity: int) -> None:
+    # Exact ints: True would pass for parity 1, and the z-sequence would
+    # read any parity other than 0 as 1.
+    if type(parity) is not int or parity not in (0, 1):
+        raise ConstructionError(f"parity must be 0 or 1, got {parity!r}")
+    _check_level(params, level)
+
+
 def iter_x_sequence(params: LayeredParams, level: int, parity: int = 1) -> Iterator[Swap]:
     """Stream the recursive sweep sequence without materializing it."""
-    if parity not in (0, 1):
-        raise ConstructionError(f"parity must be 0 or 1, got {parity}")
-    if not 1 <= level <= params.levels:
-        raise ConstructionError(f"level {level} not in [1, {params.levels}]")
+    _check_sweep(params, level, parity)
     t = params.t
     cand = lambda q: layered_candidate_index(params, level, q)
     if level == 1:
@@ -576,6 +588,7 @@ def hardened_election(hp: HardenedParams) -> LabeledElection:
 def iter_z_sequence(params: LayeredParams, level: int, parity: int = 1) -> Iterator[Swap]:
     """The shortcut sequence: every backward sub-sweep below the top
     level collapses to the single swap (c[l,t+1] -> c[l,1])."""
+    _check_sweep(params, level, parity)
     t = params.t
     cand = lambda q: layered_candidate_index(params, level, q)
     if parity == 0:

@@ -218,7 +218,12 @@ class Election:
 
 
 def validate_committee(election: Election, committee: Iterable[int]) -> frozenset[int]:
-    members = frozenset(committee)
+    try:
+        members = frozenset(committee)
+    except TypeError:  # not iterable, or holds an unhashable member
+        raise InvalidCommitteeError(
+            f"committee must be an iterable of ints, got {committee!r}"
+        ) from None
     k = election.require_committee_size()
     if len(members) != k:
         raise InvalidCommitteeError(f"committee has {len(members)} members, expected {k}")
@@ -254,8 +259,8 @@ class Epsilon:
         """1/lcm(1..k): with this threshold, "delta >= eps" coincides with
         "delta > 0" (every delta is a multiple of it, as
         :func:`assert_quantized` checks at runtime)."""
-        if k < 1:
-            raise InvalidEpsilonError(f"zero-plus epsilon needs k >= 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise InvalidEpsilonError(f"zero-plus epsilon needs an int k >= 1, got {k!r}")
         return Epsilon(Fraction(1, lcm_range(k)))
 
     @staticmethod

@@ -1,11 +1,13 @@
 """Experiment orchestration: repeated seeded runs and CSV aggregation.
 
-An experiment is a pure function of its config.  The seed schedule is
-part of the contract: repetition ``rep`` at the ``ki``-th committee
-size runs with seed ``base_seed * 1_000_003 + (ki * repetitions + rep)``,
-so repetitions are independent and reproducible regardless of execution
-order.  A config with more than 1_000_003 cells is rejected, since its
-seeds would run into those of the next base seed.
+An experiment is a pure function of its config and does no file I/O;
+the CLI writes ``runs_csv()`` and ``aggregate_csv()`` to ``runs.csv``
+and ``aggregate.csv``.  The seed schedule is part of the contract:
+repetition ``rep`` at the ``ki``-th committee size runs with seed
+``base_seed * 1_000_003 + (ki * repetitions + rep)``, so repetitions are
+independent and reproducible regardless of execution order.  A config
+with more than 1_000_003 cells is rejected, since its seeds would run
+into those of the next base seed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence, Union
 
 from .core import Election, Epsilon, PavlsError
@@ -206,13 +207,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     "seed": seed, "swaps": swaps, "comparisons": comparisons, "error": error,
                 })
     return ExperimentResult(config=config, runs=rows, aggregates=aggregate(rows))
-
-
-def write_outputs(result: ExperimentResult, out_dir: Union[str, Path]) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runs_path = out / "runs.csv"
-    agg_path = out / "aggregate.csv"
-    runs_path.write_text(result.runs_csv())
-    agg_path.write_text(result.aggregate_csv())
-    return runs_path, agg_path

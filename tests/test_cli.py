@@ -11,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavls import BallotClass, Election, Epsilon, parse_native, pav_score, validate_sequence
+from pavls import (
+    BallotClass,
+    Election,
+    Epsilon,
+    ExperimentConfig,
+    ImpartialCulture,
+    SamplerConfig,
+    parse_native,
+    pav_score,
+    run_experiment,
+    validate_sequence,
+)
 from pavls.cli import main
 from pavls.formats import serialize_native
 
@@ -81,11 +92,17 @@ def test_experiment_subcommand(tmp_path, capsys):
                "--k-values", "2,3", "--reps", "3", "--seed", "11",
                "--out", str(out_dir)])
     assert rc == 0
-    runs = (out_dir / "runs.csv").read_text()
-    agg = (out_dir / "aggregate.csv").read_text()
+    runs_path, agg_path = out_dir / "runs.csv", out_dir / "aggregate.csv"
+    assert capsys.readouterr().out == f"wrote {runs_path} and {agg_path}\n"
+    runs, agg = runs_path.read_text(), agg_path.read_text()
     assert runs.splitlines()[0].startswith("model,k,rule")
     assert len(runs.splitlines()) == 1 + 2 * 3 * 2
     assert len(agg.splitlines()) == 1 + 4
+    # The files hold exactly the CSVs of the same config run in-process.
+    result = run_experiment(ExperimentConfig(
+        SamplerConfig(ImpartialCulture(0.5), 20, 6, 0), (2, 3), repetitions=3, base_seed=11))
+    assert runs == result.runs_csv()
+    assert agg == result.aggregate_csv()
 
 
 def test_oracle_subcommands(tmp_path, capsys, fig1b):
@@ -152,6 +169,22 @@ def _assert_input_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert "Traceback" not in err
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    _assert_input_error(
+        capsys, ["sample", "--model", "ic", "-n", "5", "-m", "3", "-o", str(missing / "e.pavls")],
+        str(missing))
+    e_path = tmp_path / "e.pavls"
+    for flag in ("-o", "--labels-out", "--sequence-out", "--initial-out"):
+        argv = ["construct", "--family", "warmup", "-k", "8", "-o", str(e_path)]
+        _assert_input_error(capsys, argv + [flag, str(missing / "out.txt")], str(missing))
+    assert not missing.exists()
+    # --out names an existing file, not a directory.
+    _assert_input_error(
+        capsys, ["experiment", "--model", "ic", "-n", "5", "-m", "3", "--k-values", "2",
+                 "--out", str(e_path)], str(e_path))
 
 
 def test_missing_election_file_exit_code(tmp_path, capsys):

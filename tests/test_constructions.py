@@ -46,7 +46,9 @@ def test_delta_formula_values():
 
 
 def test_delta_formula_domain():
-    for j, k in ((0, 4), (4, 4), (5, 4), (-1, 3)):
+    # Sizes are exact ints: 3.0 would raise TypeError, and True would
+    # pass for j = 1.
+    for j, k in ((0, 4), (4, 4), (5, 4), (-1, 3), (1, 3.0), (1.0, 3), (True, 3), ("1", 3)):
         with pytest.raises(ConstructionError):
             delta_formula(j, k)
 
@@ -60,10 +62,11 @@ def test_warmup_small_sizes():
     assert lab.election.n == 8
     assert lab.election.m == 8
     assert len(warmup_sequence(4)) == 6
-    with pytest.raises(ConstructionError):
-        warmup_election(3)
-    with pytest.raises(ConstructionError):
-        warmup_sequence(3)
+    for k in (3, 4.0, "4", None):
+        with pytest.raises(ConstructionError, match="k >= 4"):
+            warmup_election(k)
+        with pytest.raises(ConstructionError, match="k >= 4"):
+            warmup_sequence(k)
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
@@ -137,6 +140,17 @@ def test_atomic_families_need_depth_at_least_one():
                 family(0, k)
     with pytest.raises(ConstructionError, match="1 <= j < k"):
         e_t_election(2, 0, 4)
+    # Sizes are exact ints: f_election(1.0, 3) would build an election and
+    # the other calls would raise TypeError.
+    for family, j, k in ((f_election, 1.0, 3), (f_election, 1, 3.0), (e_election, 1, 3.0),
+                         (e_election, True, 3)):
+        with pytest.raises(ConstructionError, match="1 <= j < k"):
+            family(j, k)
+    with pytest.raises(ConstructionError, match="1 <= j < k"):
+        e_t_election(1, 1, 3.0)
+    for t in (0, 1.0, True):
+        with pytest.raises(ConstructionError, match="t >= 1"):
+            e_t_election(t, 1, 3)
 
 
 def test_builder_rejects_duplicate_label():
@@ -249,8 +263,9 @@ def test_x_length_recurrence():
     assert x_length(p, 2) == 1056
     p3 = LayeredParams(3, 64)
     assert x_length(p3, 3) == 266_304
-    with pytest.raises(ConstructionError):
-        x_length(p, 3)
+    for level in (3, 1.0, True):
+        with pytest.raises(ConstructionError):
+            x_length(p, level)
 
 
 def test_x_sequence_matches_length_and_streams():
@@ -263,6 +278,19 @@ def test_x_sequence_matches_length_and_streams():
         list(iter_x_sequence(p, 1, 2))
     with pytest.raises(ConstructionError):
         list(iter_x_sequence(p, 3, 1))
+
+
+def test_sweep_parity_and_level_checked():
+    # Both generators take parity as the exact int 0 or 1: the z-sequence
+    # used to read 2, -1 and True as parity 1.
+    p = LayeredParams(2, 22)
+    for generator in (iter_x_sequence, iter_z_sequence):
+        for parity in (2, -1, True, 1.0, None):
+            with pytest.raises(ConstructionError, match="parity"):
+                list(generator(p, 2, parity))
+        for level in (0, 3, 2.0, True):
+            with pytest.raises(ConstructionError, match="level"):
+                list(generator(p, level, 1))
 
 
 def test_layered_x_sequence_certifies_small():

@@ -208,8 +208,11 @@ def test_epsilon_kinds(fig1b):
     for bad in (0, -1):
         with pytest.raises(InvalidEpsilonError):
             Epsilon.custom(bad)
-    with pytest.raises(InvalidEpsilonError):
-        Epsilon.zero_plus(0)
+    # k is an exact int >= 1: "3" would fail the comparison, and 2.0 and
+    # True would reach lcm_range.
+    for bad in (0, "3", 2.0, True, None):
+        with pytest.raises(InvalidEpsilonError):
+            Epsilon.zero_plus(bad)
     # Only ints, Fractions and strings: Fraction(0.1) is not 1/10, and
     # True is not a threshold.
     for bad in (0.1, True, "abc", "1/0", None, (1, 2)):

@@ -14,7 +14,7 @@ from pavls import (
     run_experiment,
     select_initial_committee,
 )
-from pavls.harness import HarnessError, InvalidQuantileError, nearest_rank, run_seed, write_outputs
+from pavls.harness import HarnessError, InvalidQuantileError, nearest_rank, run_seed
 
 
 def test_select_initial_committee(fig1a):
@@ -146,7 +146,7 @@ def test_seed_schedule_cell_limit():
         ExperimentConfig(source, (2,), repetitions=1_000_004)
 
 
-def test_experiment_deterministic(tmp_path):
+def test_experiment_deterministic():
     config = ExperimentConfig(
         source=SamplerConfig(ImpartialCulture(0.5), 30, 8, 0),
         k_values=(2, 3),
@@ -156,9 +156,6 @@ def test_experiment_deterministic(tmp_path):
     r1, r2 = run_experiment(config), run_experiment(config)
     assert r1.runs_csv() == r2.runs_csv()
     assert r1.aggregate_csv() == r2.aggregate_csv()
-    runs_path, agg_path = write_outputs(r1, tmp_path / "out")
-    assert runs_path.read_text() == r1.runs_csv()
-    assert agg_path.read_text() == r1.aggregate_csv()
     # rows for every (k, rep, rule) cell, no failures
     assert len(r1.runs) == 2 * 5 * 2
     assert all(not row["error"] for row in r1.runs)

@@ -149,6 +149,18 @@ def test_committee_members_must_be_exact_ints(fig1b):
             is_locally_optimal(fig1b, bad, eps)
         with pytest.raises(InvalidCommitteeError):
             validate_sequence(fig1b, bad, [], eps)
+    # Not an iterable of hashable members: frozenset() would raise TypeError.
+    for bad in (0, None, [[0], 1, 2]):
+        for check in (
+            lambda: validate_committee(fig1b, bad),
+            lambda: run(fig1b, bad, eps, LexicographicBetterResponse()),
+            lambda: pav_score(fig1b, bad),
+            lambda: validate_sequence(fig1b, bad, [], eps),
+            lambda: is_locally_optimal(fig1b, bad, eps),
+            lambda: SatisfactionState(fig1b, bad),
+        ):
+            with pytest.raises(InvalidCommitteeError, match="iterable of ints"):
+                check()
     assert validate_committee(fig1b, [2, 0, 1]) == frozenset({0, 1, 2})
 
 
