@@ -359,8 +359,8 @@ class LayeredParams:
     def asymptotic_levels(k: int) -> int:
         """ceil(log2 k), the setting under which the length bound
         becomes super-polynomial in k alone."""
-        if k < 1:
-            raise ConstructionError(f"asymptotic level count needs k >= 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise ConstructionError(f"asymptotic level count needs an int k >= 1, got {k!r}")
         return max(1, math.ceil(math.log2(k)))
 
 
@@ -369,23 +369,18 @@ def _check_level(params: LayeredParams, level: int) -> None:
         raise ConstructionError(f"level {level!r} not in [1, {params.levels}]")
 
 
-def layered_candidate_index(params: LayeredParams, i: int, q: int) -> int:
-    if not (1 <= i <= params.levels and 1 <= q <= params.t + 1):
-        raise ConstructionError(f"no candidate at column {i}, position {q}")
-    return (i - 1) * (params.t + 1) + (q - 1)
-
-
-def layered_dummy_index(params: LayeredParams, i: int) -> int:
-    if not 1 <= i <= params.k2:
-        raise ConstructionError(f"no dummy candidate d{i}")
-    return params.levels * (params.t + 1) + (i - 1)
+def _column(params: LayeredParams, level: int) -> range:
+    """The indices of c[level,1..t+1]; the dummies d1..d(k2) follow the
+    last column."""
+    start = (level - 1) * (params.t + 1)
+    return range(start, start + params.t + 1)
 
 
 def layered_initial_committee(params: LayeredParams) -> frozenset[int]:
-    members = {layered_candidate_index(params, i, params.t + 1) for i in range(1, params.levels)}
-    members.add(layered_candidate_index(params, params.levels, 1))
-    members |= {layered_dummy_index(params, i) for i in range(1, params.k2 + 1)}
-    return frozenset(members)
+    """c[i,t+1] below the top level, c[levels,1] and every dummy."""
+    top = _column(params, params.levels)
+    members = {_column(params, i)[-1] for i in range(1, params.levels)}
+    return frozenset({*members, top[0], *range(top.stop, top.stop + params.k2)})
 
 
 def layered_election(params: LayeredParams) -> LabeledElection:
@@ -460,9 +455,19 @@ def min_k_gain_search(
     fixed integer pins the level count.  Monotonicity is not assumed:
     every k's outcome is reported individually.
     """
+    # Exact ints only: an out-of-range int is an "invalid" entry, but a
+    # float, bool or string k is a caller's mistake.
+    if levels is not None and type(levels) is not int:
+        raise ConstructionError(f"levels must be None or an int, got {levels!r}")
+    try:
+        ks = list(k_range)
+    except TypeError:
+        raise ConstructionError(f"k_range must be an iterable of ints, got {k_range!r}") from None
+    if any(type(k) is not int for k in ks):
+        raise ConstructionError(f"k_range must hold only ints, got {ks!r}")
     entries: list[GainSearchEntry] = []
     first_pass: Optional[int] = None
-    for k in sorted(set(k_range)):
+    for k in sorted(set(ks)):
         try:
             lv = levels if levels is not None else LayeredParams.asymptotic_levels(k)
             params = LayeredParams(levels=lv, k=k)
@@ -499,24 +504,17 @@ def _check_sweep(params: LayeredParams, level: int, parity: int) -> None:
 
 
 def iter_x_sequence(params: LayeredParams, level: int, parity: int = 1) -> Iterator[Swap]:
-    """Stream the recursive sweep sequence without materializing it."""
+    """Stream the recursive sweep sequence without materializing it:
+    parity 1 steps up the level's column, parity 0 down it, and above
+    level 1 each step is followed by a sub-sweep of alternating parity."""
     _check_sweep(params, level, parity)
-    t = params.t
-    cand = lambda q: layered_candidate_index(params, level, q)
-    if level == 1:
-        if parity == 1:
-            for q in range(1, t + 1):
-                yield Swap(cand(q), cand(q + 1))
-        else:
-            for q in range(t + 1, 1, -1):
-                yield Swap(cand(q), cand(q - 1))
-        return
-    for j in range(1, t + 1):
-        if parity == 1:
-            yield Swap(cand(j), cand(j + 1))
-        else:
-            yield Swap(cand(t - j + 2), cand(t - j + 1))
-        yield from iter_x_sequence(params, level - 1, (j - 1) % 2)
+    column = _column(params, level)
+    if parity == 0:
+        column = column[::-1]
+    for j, (out, into) in enumerate(zip(column, column[1:])):
+        yield Swap(out, into)
+        if level > 1:
+            yield from iter_x_sequence(params, level - 1, j % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +585,17 @@ def hardened_election(hp: HardenedParams) -> LabeledElection:
 
 def iter_z_sequence(params: LayeredParams, level: int, parity: int = 1) -> Iterator[Swap]:
     """The shortcut sequence: every backward sub-sweep below the top
-    level collapses to the single swap (c[l,t+1] -> c[l,1])."""
+    level collapses to the single swap (c[l,t+1] -> c[l,1]); forward
+    sweeps step up the column as in the x-sequence."""
     _check_sweep(params, level, parity)
-    t = params.t
-    cand = lambda q: layered_candidate_index(params, level, q)
+    column = _column(params, level)
     if parity == 0:
-        yield Swap(cand(t + 1), cand(1))
+        yield Swap(column[-1], column[0])
         return
-    if level == 1:
-        yield from iter_x_sequence(params, 1, 1)
-        return
-    for j in range(1, t + 1):
-        yield Swap(cand(j), cand(j + 1))
-        yield from iter_z_sequence(params, level - 1, (j - 1) % 2)
+    for j, (out, into) in enumerate(zip(column, column[1:])):
+        yield Swap(out, into)
+        if level > 1:
+            yield from iter_z_sequence(params, level - 1, j % 2)
 
 
 @dataclass

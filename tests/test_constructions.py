@@ -1,12 +1,16 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavls import (
     ConstructionError,
     Epsilon,
     HardenedParams,
     LayeredParams,
+    PavlsError,
     Swap,
     certify_hardened,
     delta,
@@ -21,6 +25,7 @@ from pavls import (
     iter_z_sequence,
     layered_election,
     layered_initial_committee,
+    min_k_gain_search,
     serialize_native,
     validate_sequence,
     warmup_election,
@@ -28,7 +33,7 @@ from pavls import (
     warmup_sequence,
     x_length,
 )
-from pavls.constructions import _Builder, _f_ballots
+from pavls.constructions import _Builder, _column, _f_ballots
 from pavls.core import SatisfactionState
 
 
@@ -222,6 +227,11 @@ def test_layered_params_validation():
             LayeredParams(levels, k)
     with pytest.raises(ConstructionError):
         p.level_arity(3)
+    assert [LayeredParams.asymptotic_levels(k) for k in (1, 2, 3, 64, 65)] == [1, 1, 2, 6, 7]
+    # k is an exact int >= 1: 2.5 returned 2, and "x" raised a bare TypeError.
+    for k in (0, -1, 2.5, 2.0, True, "x", None, Fraction(4)):
+        with pytest.raises(ConstructionError):
+            LayeredParams.asymptotic_levels(k)
 
 
 def test_layered_candidate_count():
@@ -330,6 +340,44 @@ def test_layered_stability_at_sampled_prefixes():
             checked += 1
         apply_swap(state, swap)
     assert checked == p.t
+
+
+def _sweep_digest(generator, p):
+    """sha256 of every level and parity of one sweep generator."""
+    text = " ".join(
+        f"{level},{parity}:" + ",".join(f"{s.out_candidate}>{s.in_candidate}"
+                                        for s in generator(p, level, parity))
+        for level in range(1, p.levels + 1) for parity in (0, 1))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded from the generators before they shared the column layout.
+_SWEEP_DIGESTS = {
+    (2, 22): (
+        "aaa69308aafba6fc0b7943225c606146c85c36b3313eafebdac531a6d12f49af",
+        "d9b3f716222689b0426e4ab2d09429e209669cad9a56e2a87f5b04c2211b72ed",
+        "1edbc353755f52240e377afb9638049f714b96cc717638023cca900825d070b7"),
+    (3, 10): (
+        "0afa3647f8ba20a064e416e69bf55889a1c4f137ec2588b15f7bf13726336503",
+        "c44e6d2c0bbb6519d13efd12e37c513a64674ce1a282b189d9b32613a3927205",
+        "998a43ce89653f741b5ed07a47a1ab58563a5367cefd4c2bebf3e91caeeb80ae"),
+}
+
+
+def test_layered_layout_and_sweeps_pinned():
+    for (levels, k), (x_digest, z_digest, w0_digest) in _SWEEP_DIGESTS.items():
+        p = LayeredParams(levels, k)
+        initial = layered_initial_committee(p)
+        assert _sweep_digest(iter_x_sequence, p) == x_digest
+        assert _sweep_digest(iter_z_sequence, p) == z_digest
+        assert hashlib.sha256(repr(sorted(initial)).encode()).hexdigest() == w0_digest
+        # The index layout agrees with the builder's labels.
+        lab = layered_election(p)
+        for i in range(1, levels + 1):
+            for q in range(1, p.t + 2):
+                assert lab.candidate(f"c[{i},{q}]") == _column(p, i)[q - 1]
+        seats = [f"c[{i},{p.t + 1}]" for i in range(1, levels)] + [f"c[{levels},1]"]
+        assert initial == lab.committee(*seats, *_dummy_names(p.k2))
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +503,43 @@ def test_certify_hardened_gamma_too_small():
     hp = HardenedParams(LayeredParams(2, 21), gamma=Fraction(1, 10**9))
     with pytest.raises(GammaTooSmallError):
         certify_hardened(hp, step_cap=20)
+
+
+# ---------------------------------------------------------------------------
+# Entry points under junk arguments
+
+
+_JUNK = (-1, 0, 1, 2, 3, 2.0, 2.5, True, False, None, "2", Fraction(5, 2), Fraction(4))
+_junk = st.sampled_from(_JUNK)
+_P22 = LayeredParams(2, 22)
+# name -> (call, one strategy per argument).  No size exceeds 4, so
+# every election built here is tiny.
+_ENTRY_POINTS = {
+    "delta_formula": (delta_formula, (_junk, _junk)),
+    "f_election": (f_election, (_junk, _junk)),
+    "e_election": (e_election, (_junk, _junk)),
+    "e_t_election": (e_t_election, (_junk, _junk, _junk)),
+    "warmup_election": (warmup_election, (_junk,)),
+    "warmup_sequence": (warmup_sequence, (_junk,)),
+    "LayeredParams": (LayeredParams, (_junk, _junk)),
+    "asymptotic_levels": (LayeredParams.asymptotic_levels, (_junk,)),
+    "min_k_gain_search": (min_k_gain_search, (_junk | st.lists(_junk, max_size=3), _junk)),
+    "x_length": (lambda level: x_length(_P22, level), (_junk,)),
+    "level_arity": (_P22.level_arity, (_junk,)),
+    "iter_x_sequence": (lambda *a: list(iter_x_sequence(_P22, *a)), (_junk, _junk)),
+    "iter_z_sequence": (lambda *a: list(iter_z_sequence(_P22, *a)), (_junk, _junk)),
+    "HardenedParams": (HardenedParams, (st.just(_P22) | _junk, _junk)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_construction_entry_points_raise_only_pavls_errors(data):
+    # Every call either returns or raises a PavlsError; any other
+    # exception fails the test.
+    call, strategies = _ENTRY_POINTS[data.draw(st.sampled_from(sorted(_ENTRY_POINTS)))]
+    args = data.draw(st.tuples(*strategies))
+    try:
+        call(*args)
+    except PavlsError:
+        pass

@@ -6,6 +6,7 @@ import pytest
 
 from pavls import (
     BallotClass,
+    ConstructionError,
     Election,
     EnumerationCapError,
     Epsilon,
@@ -84,6 +85,15 @@ def test_gain_search_nonpositive_k_is_invalid():
     report = min_k_gain_search(range(-1, 3))
     assert [(e.k, e.levels, e.outcome) for e in report.entries] == [
         (-1, None, "invalid"), (0, None, "invalid"), (1, None, "invalid"), (2, None, "invalid")]
+    # A k or levels that is not an exact int is the caller's error, and
+    # so is a k_range that is not iterable: each used to raise a bare
+    # TypeError or pass as an int.
+    for k_range in (["x"], None, 5, [2.5], [True], [32, 32.0], "32"):
+        with pytest.raises(ConstructionError):
+            min_k_gain_search(k_range)
+    for levels in (2.0, True, "2", Fraction(2)):
+        with pytest.raises(ConstructionError):
+            min_k_gain_search([32], levels=levels)
 
 
 def test_gain_search_reports_margins():
