@@ -323,7 +323,8 @@ class SatisfactionState:
     g approving exactly h committee members; the masks are disjoint and
     together cover every class.  ``scan`` holds the caches of one scan,
     a pair of dicts (sums, values): None outside a scan,
-    :meth:`begin_scan` creates both and :func:`apply_swap` drops both.
+    :meth:`begin_scan` creates both, and :func:`apply_swap` or the end
+    of a picker's scan drops both.
     During a scan :func:`delta` fills sums lazily with each incoming
     candidate's gain sum and each outgoing member's loss sum and
     approver parts, and values with each delta numerator (on the scale
@@ -349,7 +350,12 @@ class SatisfactionState:
 
     def begin_scan(self) -> None:
         """Give :func:`delta` empty caches for a scan of the current
-        committee's swaps; the next :func:`apply_swap` drops them."""
+        committee's swaps; the next :func:`apply_swap` drops them.
+
+        Until then :func:`delta` checks nothing and trusts its caller, as
+        it trusts the pickers' scan: the state was checked with
+        :func:`check_state`, ``a`` is seated and ``b`` is an unseated
+        candidate."""
         self.scan = {}, {}
 
 
@@ -383,15 +389,24 @@ def pav_score(election: Election, committee: Iterable[int]) -> Fraction:
     return total
 
 
+def check_state(election: Election, state: SatisfactionState) -> None:
+    """Raise :class:`PavlsError` unless ``state`` is a
+    :class:`SatisfactionState` built for ``election`` or an equal one."""
+    own = state.election if isinstance(state, SatisfactionState) else None
+    if own is None or own is not election and own != election:
+        raise PavlsError(f"not a SatisfactionState of this election: a {type(state).__name__}")
+
+
 def check_swap(state: SatisfactionState, a: int, b: int) -> None:
     """Raise :class:`InvalidSwapError` unless ``a`` and ``b`` are exact ints
     (not bools), ``a`` is seated and ``b`` is a candidate outside the
-    committee."""
+    committee of ``state`` (a :class:`SatisfactionState`)."""
     if type(a) is not int or type(b) is not int:
         raise InvalidSwapError(f"swap ({a!r}, {b!r}) is not a pair of ints")
     if a not in state.committee:
         raise InvalidSwapError(f"outgoing candidate {a} not in committee")
-    if b in state.committee or not 0 <= b < state.election.m:
+    # len() rather than Election.m: this runs at every replayed step.
+    if b in state.committee or not 0 <= b < len(state.election.candidate_names):
         raise InvalidSwapError(f"incoming candidate {b} invalid for committee")
 
 
@@ -415,18 +430,20 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     popcount per cell holding some of a's approvers, and the Fraction is
     built once per distinct value of the scan (see
     :class:`SatisfactionState`).
+
+    Outside a scan every argument is checked (:func:`check_state`, then
+    :func:`check_swap`).  During a scan nothing is: the scan checked the
+    state when it began, and it passes only pairs of its own committee.
     """
-    # check_swap's test inline, so a valid swap costs no call; check_swap
-    # raises the error.
-    own = state.election
-    committee = state.committee
-    if a not in committee or b in committee or not 0 <= b < len(own.candidate_names):
+    try:
+        scan = state.scan
+    except AttributeError:  # not a state, which check_state refuses
+        scan = None
+    if scan is None:
+        check_state(election, state)
         check_swap(state, a, b)
-    if own is not election and own != election:
-        raise PavlsError("the satisfaction state belongs to another election")
     masks = election.approval_masks
     scale, up, down = election._cell_coefficients
-    scan = state.scan
     if scan is None:
         gain = masks[b] & ~masks[a]
         loss = masks[a] & ~masks[b]
@@ -467,7 +484,12 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
 def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
     """Apply a swap in place, ending any scan; the state is untouched if
     the swap is invalid."""
-    a, b = swap
+    try:
+        a, b = swap
+    except (TypeError, ValueError):
+        raise InvalidSwapError(f"swap {swap!r} is not a pair") from None
+    if not isinstance(state, SatisfactionState):
+        raise PavlsError(f"not a SatisfactionState: a {type(state).__name__}")
     check_swap(state, a, b)
     masks = state.election.approval_masks
     state.cells = _move(state.cells, masks[a] & ~masks[b], masks[b] & ~masks[a])
@@ -524,21 +546,24 @@ def validate_sequence(
     A structurally invalid swap (not a pair of ints, or see
     :func:`check_swap`) stops the replay and is reported by index; a
     step with delta < epsilon is a certification outcome, not an error.
+    A ``seq`` that is not iterable raises :class:`InvalidSwapError`.
     """
     check_epsilon(epsilon)
     state = SatisfactionState(election, start)
     deltas: list[Fraction] = []
     first_invalid: Optional[int] = None
-    for idx, swap in enumerate(seq):
-        # A step that is not a pair of exact ints is as invalid as one
-        # whose candidates do not fit the committee.
+    try:
+        steps = enumerate(seq)
+    except TypeError:
+        raise InvalidSwapError(f"swap sequence must be iterable, got {seq!r}") from None
+    for idx, swap in steps:
+        # A step that is not a pair is as invalid as one whose candidates
+        # do not fit the committee: delta's check_swap refuses (None, None).
         try:
             a, b = swap
         except (TypeError, ValueError):
             a = b = None
         try:
-            if type(a) is not int or type(b) is not int:
-                raise InvalidSwapError(f"swap {swap!r} is not a pair of ints")
             d = delta(election, state, a, b)
         except InvalidSwapError:
             first_invalid = idx

@@ -8,9 +8,10 @@ are the experiments' cost metric and are sequential-deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     Election,
@@ -21,8 +22,22 @@ from .core import (
     apply_swap,
     assert_quantized,
     check_epsilon,
+    check_state,
     delta,
 )
+
+
+class InvalidRuleError(PavlsError, ValueError):
+    """A pivot rule or candidate order that cannot be used (also a ValueError)."""
+
+
+def check_order(order: Sequence[int], m: int) -> None:
+    """Raise :class:`InvalidRuleError` unless ``order`` is a permutation of
+    range(m) in exact ints (a scan reads it twice, so it is a sequence)."""
+    # Exact ints: 0.0 and True pass the permutation test as 0 and 1.
+    exact = isinstance(order, Sequence) and all(type(c) is int for c in order)
+    if not exact or sorted(order) != list(range(m)):
+        raise InvalidRuleError(f"candidate order must be a permutation of range({m})")
 
 
 def _scan(
@@ -31,17 +46,25 @@ def _scan(
     """Yield (outgoing, incoming, delta) for every swap in lexicographic
     (incoming, outgoing) order under ``order`` (index order if None).
 
-    The scan opens the state's per-scan caches (see
-    :meth:`SatisfactionState.begin_scan`); applying a swap drops them."""
+    The state and the order are checked here, once: the scan opens the
+    state's per-scan caches (see :meth:`SatisfactionState.begin_scan`),
+    under which :func:`delta` checks nothing, and closes them when it
+    ends or is abandoned, so a later direct :func:`delta` call is checked."""
+    check_state(election, state)
     if order is None:
         order = range(election.m)
+    else:
+        check_order(order, election.m)
     state.begin_scan()
     committee = state.committee
     outs = [c for c in order if c in committee]
-    for b in order:
-        if b not in committee:
-            for a in outs:
-                yield a, b, delta(election, state, a, b)
+    try:
+        for b in order:
+            if b not in committee:
+                for a in outs:
+                    yield a, b, delta(election, state, a, b)
+    finally:
+        state.scan = None
 
 
 def next_swap_lex(
@@ -54,8 +77,11 @@ def next_swap_lex(
 
     Returns (swap, delta, comparisons-used); comparisons counts every
     delta evaluation including the failed ones.  If no pair qualifies,
-    all k(m-k) pairs have been evaluated.
+    all k(m-k) pairs have been evaluated.  A threshold that is not an
+    :class:`Epsilon`, a state not built for ``election`` or an order
+    that is not a permutation of range(m) raises a :class:`PavlsError`.
     """
+    check_epsilon(epsilon)
     # d >= epsilon, cross-multiplied in ints: epsilon's denominator (n/k^2,
     # say) need not divide the delta scale.
     tn, td = epsilon.value.numerator, epsilon.value.denominator
@@ -75,12 +101,14 @@ def next_swap_best(
     """Maximum-delta swap if it reaches epsilon, else absent.
 
     Always evaluates all k(m-k) pairs.  The first maximizer in
-    lexicographic (in, out) order wins ties.
+    lexicographic (in, out) order wins ties.  Checks its arguments as
+    :func:`next_swap_lex` does.
     """
+    check_epsilon(epsilon)
+    scan = _scan(election, state, order)
+    best = next(scan, None)  # checks the state and the order
     k = len(state.committee)
     comparisons = k * (election.m - k)
-    scan = _scan(election, state, order)
-    best = next(scan, None)
     if best is None:
         return None, None, comparisons
     # Maximum and threshold test by integer cross-multiplication; only a
@@ -97,10 +125,6 @@ def next_swap_best(
     return Swap(a, b), d, comparisons
 
 
-class InvalidRuleError(PavlsError, ValueError):
-    """A pivot rule or candidate order that cannot be used (also a ValueError)."""
-
-
 @dataclass(frozen=True)
 class PivotRule:
     """A pivoting rule, whose :meth:`pick` chooses a run's next swap.  ``order``
@@ -110,12 +134,8 @@ class PivotRule:
     order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        # Exact ints: 0.0 and True pass the permutation test as 0 and 1.
-        order = self.order
-        if order is not None and (
-            any(type(c) is not int for c in order) or sorted(order) != list(range(len(order)))
-        ):
-            raise InvalidRuleError("candidate order must be a permutation of range(m)")
+        if self.order is not None:  # m = len(order); check_order refuses a non-sequence
+            check_order(self.order, len(self.order) if isinstance(self.order, Sequence) else 0)
 
     def pick(self, election: Election, state: SatisfactionState, epsilon: Epsilon):
         """The next swap as (swap, delta, comparisons-used), like :func:`next_swap_lex`."""
@@ -185,9 +205,8 @@ def run(
     check_epsilon(epsilon)
     if not isinstance(rule, PivotRule):
         raise InvalidRuleError(f"not a pivot rule: {rule!r}")
-    if rule.order is not None and len(rule.order) != election.m:
-        raise InvalidRuleError(
-            f"candidate order has {len(rule.order)} entries, not m={election.m}")
+    if rule.order is not None:
+        check_order(rule.order, election.m)
     state = SatisfactionState(election, initial)
     members = frozenset(state.committee)
     executed: list[Swap] = []

@@ -1,5 +1,5 @@
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -15,11 +15,13 @@ from pavls import (
     InvalidElectionError,
     InvalidEpsilonError,
     InvalidSwapError,
+    LexicographicBetterResponse,
     PavlsError,
     Swap,
     delta,
     harmonic,
     inverse_sequence,
+    is_locally_optimal,
     lcm_range,
     pav_score,
     validate_committee,
@@ -172,6 +174,11 @@ def test_delta_rejects_invalid(fig1a):
             delta(fig1a, state, 0, b)
         with pytest.raises(InvalidSwapError):
             apply_swap(state, Swap(0, b))
+    # Exact ints: True would pass for seated candidate 1, and 3.0 would
+    # reach the mask lookup.
+    for a, b in ((True, 3), (1, 3.0)):
+        with pytest.raises(InvalidSwapError):
+            delta(fig1a, state, a, b)
 
 
 def test_delta_rejects_state_of_another_election():
@@ -193,7 +200,7 @@ def test_apply_swap_updates_hits(fig1a):
     # (weight group 1) approves one (3); the stride is k + 2 = 5
     assert state.cells == {2: 0b01, 5 + 1: 0b10}
     # Candidates are exact ints: True would pass for seated candidate 1.
-    for bad in (Swap(2, 4), Swap(True, 4), Swap(0, 4.0)):
+    for bad in (Swap(2, 4), Swap(True, 4), Swap(0, 4.0), (0,), (0, 1, 2), 5):
         with pytest.raises(InvalidSwapError):
             apply_swap(state, bad)
         assert state.committee == {0, 1, 3}  # untouched on failure
@@ -473,15 +480,19 @@ _ZERO_GAIN = Election(("c0", "c1", "c2"),
 
 @pytest.mark.parametrize("selector", ["zero-plus", "threshold", "28/3", "1/2"])
 @settings(max_examples=100, deadline=None)
-@given(walk=_walks())
-@example(walk=(_ZERO_GAIN, (0,), []))
-@example(walk=(_ZERO_GAIN, (0,), [(0, 0), (0, 0)]))
-def test_integer_threshold_tests_match_fraction_reference(selector, walk):
+@given(walk=_walks(), perm=st.none() | st.permutations(range(8)))
+@example(walk=(_ZERO_GAIN, (0,), []), perm=None)
+@example(walk=(_ZERO_GAIN, (0,), [(0, 0), (0, 0)]), perm=None)
+def test_integer_threshold_tests_match_fraction_reference(selector, walk, perm):
     """The pickers' and the replay's integer tests agree with plain
-    Fraction comparisons, and delta hands out one Fraction per value
-    within a scan (zero included)."""
+    Fraction comparisons, in index order or in a drawn candidate order,
+    and delta hands out one Fraction per value within a scan (zero
+    included)."""
     e, committee, steps = walk
     eps = Epsilon.resolve(selector, e)
+    # The drawn permutation of range(8) restricted to range(m), m <= 8.
+    order = None if perm is None else tuple(c for c in perm if c < e.m)
+    candidates = range(e.m) if order is None else order
     state = SatisfactionState(e, committee)
     current = frozenset(committee)
     swaps, gains = [], []
@@ -490,8 +501,8 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk):
         score = pav_score(e, current)
         found, used, best, total = None, 0, None, 0
         reference = {}
-        for b in (c for c in range(e.m) if c not in current):
-            for a in sorted(current):
+        for b in (c for c in candidates if c not in current):
+            for a in (c for c in candidates if c in current):
                 d = reference[a, b] = pav_score(e, (current - {a}) | {b}) - score
                 assert delta(e, state, a, b) == d
                 total += 1
@@ -507,10 +518,10 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk):
             first = delta(e, state, a, b)
             assert first == d and delta(e, state, a, b) is first
             assert interned.setdefault(d, first) is first
-        assert next_swap_lex(e, state, eps) == (*(found or (None, None)), used)
+        assert next_swap_lex(e, state, eps, order) == (*(found or (None, None)), used)
         if best is None or best[1] < eps.value:
             best = (None, None)
-        assert next_swap_best(e, state, eps) == (*best, total)
+        assert next_swap_best(e, state, eps, order) == (*best, total)
         if step is None:
             break
         i, j = step
@@ -524,3 +535,85 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk):
     assert cert.structurally_valid and cert.step_deltas == gains
     assert cert.total_gain == sum(gains, Fraction(0))
     assert cert.certified_good == all(d >= eps.value for d in gains)
+
+
+# ---------------------------------------------------------------------------
+# Entry points under junk arguments
+
+_E5 = Election(tuple(f"c{i}" for i in range(5)),
+               (BallotClass(frozenset({0, 2}), 3), BallotClass(frozenset({1, 3, 4}), 2),
+                BallotClass(frozenset({4}), 1)), 2)
+_FOREIGN = Election(_E5.candidate_names, (BallotClass(frozenset({3}), 7),), 2)
+
+
+def _scanned_state():
+    """A state of _E5 that a picker has just scanned."""
+    state = SatisfactionState(_E5, (0, 1))
+    next_swap_best(_E5, state, Epsilon.zero_plus(2))
+    return state
+
+
+# States are built per draw, since apply_swap changes them.
+_junk = (st.sampled_from((-1, 99, 2.0, True, None, "1", Fraction(1, 2), (0,), (0, 1, 2)))
+         | st.builds(lambda: SatisfactionState(_FOREIGN, (0, 1))))
+_candidates = st.integers(0, 4)
+_swaps = st.builds(Swap, _candidates, _candidates)
+_valid = {
+    "state": (st.builds(SatisfactionState, st.just(_E5), st.sampled_from(((0, 1), (2, 4))))
+              | st.builds(_scanned_state)),
+    "candidate": _candidates,
+    "swap": _swaps,
+    "committee": st.sampled_from(((0, 1), [2, 4], frozenset({1, 3}))),
+    "epsilon": st.sampled_from((Epsilon.zero_plus(2), Epsilon.custom(1), Epsilon.threshold(_E5))),
+    "order": st.none() | st.permutations(range(5)).map(tuple),
+    "rule": st.sampled_from((RULES["best"], RULES["lex-better"],
+                             LexicographicBetterResponse((4, 3, 2, 1, 0)))),
+    "step_cap": st.none() | st.integers(0, 3),
+    "sequence": st.lists(_swaps | _junk, max_size=4),
+}
+# name -> (call on _E5, the kinds of its other arguments)
+_ENGINE_ENTRY_POINTS = {
+    "delta": (lambda *a: delta(_E5, *a), ("state", "candidate", "candidate")),
+    "apply_swap": (apply_swap, ("state", "swap")),
+    "next_swap_lex": (lambda *a: next_swap_lex(_E5, *a), ("state", "epsilon", "order")),
+    "next_swap_best": (lambda *a: next_swap_best(_E5, *a), ("state", "epsilon", "order")),
+    "run": (lambda *a: run(_E5, *a), ("committee", "epsilon", "rule", "step_cap")),
+    "validate_sequence": (lambda *a: validate_sequence(_E5, *a),
+                          ("committee", "sequence", "epsilon")),
+    "is_locally_optimal": (lambda *a: is_locally_optimal(_E5, *a), ("committee", "epsilon")),
+    "pav_score": (lambda *a: pav_score(_E5, *a), ("committee",)),
+    "SatisfactionState": (lambda *a: SatisfactionState(_E5, *a), ("committee",)),
+}
+
+
+def _exact(value) -> bool:
+    """Only exact values: ints and Fractions (bools as flags only), and
+    candidates that are exact ints, nested in tuples, lists and records."""
+    if isinstance(value, SatisfactionState):
+        return _exact(frozenset(value.committee))
+    if isinstance(value, (Swap, set, frozenset)):
+        return all(type(c) is int for c in value)
+    if isinstance(value, (tuple, list)):
+        return all(map(_exact, value))
+    if is_dataclass(value):
+        return all(_exact(getattr(value, f.name)) for f in fields(value))
+    return value is None or type(value) in (bool, int, Fraction)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_engine_entry_points_raise_only_pavls_errors(data):
+    # Every call either returns exact values or raises a PavlsError; any
+    # other exception fails the test.  Each argument is valid or junk.
+    name = data.draw(st.sampled_from(sorted(_ENGINE_ENTRY_POINTS)))
+    call, kinds = _ENGINE_ENTRY_POINTS[name]
+    args = data.draw(st.tuples(*(_valid[kind] | _junk for kind in kinds)))
+    committee = frozenset(getattr(args[0], "committee", ()))
+    try:
+        result = call(*args)
+    except PavlsError:
+        return
+    assert _exact(result), (name, args, result)
+    if name == "delta":  # a returned gain is the true one
+        a, b = args[1:]
+        assert result == pav_score(_E5, (committee - {a}) | {b}) - pav_score(_E5, committee)

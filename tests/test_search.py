@@ -11,9 +11,11 @@ from pavls import (
     InvalidEpsilonError,
     InvalidRuleError,
     InvalidStepCapError,
+    InvalidSwapError,
     LexicographicBetterResponse,
     PavlsError,
     Swap,
+    delta,
     is_locally_optimal,
     pav_score,
     run,
@@ -61,8 +63,9 @@ def test_custom_order_changes_selection(fig1b):
 def test_rule_input_errors_are_pavls_errors(fig1b):
     with pytest.raises(PavlsError):
         LexicographicBetterResponse((0, 0, 1))
-    # 0.0 and True pass a permutation test as 0 and 1.
-    for order in ((0.0, 1, 2, 3), (True, 0, 2, 3)):
+    # 0.0 and True pass a permutation test as 0 and 1; a scan reads the
+    # order twice, so an iterator would scan nothing the second time.
+    for order in ((0.0, 1, 2, 3), (True, 0, 2, 3), 5, iter(range(4))):
         with pytest.raises(InvalidRuleError):
             LexicographicBetterResponse(order)
     with pytest.raises(PavlsError):
@@ -72,10 +75,37 @@ def test_rule_input_errors_are_pavls_errors(fig1b):
             run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), not_a_rule)
 
 
+def test_pickers_check_order_and_state():
+    # From {0}, Swap(0, 3) gains 4; a scan under the partial order
+    # (0, 1, 2) never meets candidate 3 and would report no swap.
+    e = Election(("c0", "c1", "c2", "c3"),
+                 (BallotClass(frozenset({3}), 5), BallotClass(frozenset({0}), 1)), 1)
+    eps = Epsilon.zero_plus(1)
+    for picker in (next_swap_lex, next_swap_best):
+        for order in ((0, 1, 2), (0, 1, 1, 2), (0.0, 1, 2, 3), (0, 1, 2, 3, 99), iter(range(4))):
+            with pytest.raises(InvalidRuleError):
+                picker(e, SatisfactionState(e, {0}), eps, order)
+        swap, gain, _ = picker(e, SatisfactionState(e, {0}), eps, (3, 2, 1, 0))
+        assert (swap, gain) == (Swap(0, 3), 4)
+        other = Election(e.candidate_names, (BallotClass(frozenset({2}), 5),), 1)
+        for state in (SatisfactionState(other, {0}), None):
+            with pytest.raises(PavlsError):
+                picker(e, state, eps)
+        # The scan ends with the picker, so a direct delta call is checked
+        # again: True would pass for candidate 1.
+        state = SatisfactionState(e, {1})
+        picker(e, state, eps)
+        with pytest.raises(InvalidSwapError):
+            delta(e, state, True, 3)
+
+
 def test_threshold_must_be_an_epsilon(fig1b):
     # A bare Fraction, string or float is refused up front, not met by an
     # AttributeError halfway through.
     for bad in (Fraction(1, 2), "1/2", 0.5):
+        for picker in (next_swap_lex, next_swap_best):
+            with pytest.raises(InvalidEpsilonError):
+                picker(fig1b, SatisfactionState(fig1b, {0, 1, 2}), bad)
         with pytest.raises(InvalidEpsilonError):
             run(fig1b, {0, 1, 2}, bad, BestResponse())
         with pytest.raises(InvalidEpsilonError):
