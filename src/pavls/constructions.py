@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, zip_longest
-from typing import Iterable, Iterator, Optional, Union
+from itertools import chain, islice, zip_longest
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     BallotClass,
@@ -66,15 +66,18 @@ class LabeledElection:
     counterpart: Optional[dict[int, int]] = None
 
     def candidate(self, label: str) -> int:
-        return self.candidate_labels[label]
+        try:
+            return self.candidate_labels[label]
+        except (KeyError, TypeError):  # unknown or unhashable
+            raise ConstructionError(f"unknown candidate label {label!r}") from None
 
     def committee(self, *labels: str) -> frozenset[int]:
-        return frozenset(self.candidate_labels[name] for name in labels)
+        return frozenset(map(self.candidate, labels))
 
 
 class _Builder:
-    """Name-keyed candidates, in index order, plus accumulated ballots;
-    freezes into a LabeledElection."""
+    """Name-keyed candidates, in index order, plus accumulated ballots of
+    candidate indices; freezes into a LabeledElection."""
 
     def __init__(self, candidates: Iterable[str]):
         self.candidates = list(candidates)
@@ -82,22 +85,20 @@ class _Builder:
         for idx, name in enumerate(self.candidates):
             if self.index.setdefault(name, idx) != idx:
                 raise ConstructionError(f"duplicate candidate label {name!r}")
-        self.classes: list[tuple[frozenset[str], int]] = []
+        self.classes: list[BallotClass] = []
         self.groups: dict[str, list[int]] = {}
 
-    def add_class(self, ballot: frozenset[str], weight: int, group: str) -> int:
-        idx = len(self.classes)
-        self.classes.append((ballot, weight))
-        self.groups.setdefault(group, []).append(idx)
-        return idx
+    def ids(self, names: Iterable[str]) -> frozenset[int]:
+        """The indices of the named candidates."""
+        return frozenset(self.index[name] for name in names)
+
+    def add_class(self, ballot: frozenset[int], weight: int, group: str) -> None:
+        self.groups.setdefault(group, []).append(len(self.classes))
+        self.classes.append(BallotClass(ballot, weight))
 
     def build(self, k: int, counterpart: Optional[dict[int, int]] = None) -> LabeledElection:
-        ballot_classes = tuple(
-            BallotClass(frozenset(self.index[name] for name in ballot), weight)
-            for ballot, weight in self.classes
-        )
         labeled = LabeledElection(
-            election=Election(tuple(self.candidates), ballot_classes, k),
+            election=Election(tuple(self.candidates), tuple(self.classes), k),
             candidate_labels=dict(self.index),
             voter_groups={g: frozenset(idxs) for g, idxs in self.groups.items()},
             counterpart=counterpart,
@@ -129,11 +130,6 @@ def _self_check(labeled: LabeledElection) -> None:
 
 def _dummies(count: int) -> list[str]:
     return [f"d{i}" for i in range(1, count + 1)]
-
-
-def _rename(ballot: frozenset[str], names: dict[str, Iterable[str]]) -> frozenset[str]:
-    """Replace each name that ``names`` maps by the names it maps to."""
-    return frozenset(new for name in ballot for new in names.get(name, (name,)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +182,13 @@ def warmup_election(k: int) -> LabeledElection:
     odd_c2 = frozenset(f"c[2,{j}]" for j in range(1, k + 1, 2))
     for i in range(1, t + 1):
         upper = frozenset(f"c[1,{q}]" for q in range(i + 1, t + 2))
-        b.add_class(upper | even_c2, 1, "V1")
+        b.add_class(b.ids(upper | even_c2), 1, "V1")
     for i in range(1, t + 1):
         lower = frozenset(f"c[1,{q}]" for q in range(1, i + 1))
-        b.add_class(lower | odd_c2, 1, "V2")
+        b.add_class(b.ids(lower | odd_c2), 1, "V2")
     for j in range(1, k + 1):
-        tail = frozenset(f"c[2,{q}]" for q in range(j, k + 1))
-        b.add_class(tail, t, f"S{j}")
-    b.add_class(frozenset(_dummies(k - 2)), (k * k - 2 * k) // 4, "U")
+        b.add_class(b.ids(f"c[2,{q}]" for q in range(j, k + 1)), t, f"S{j}")
+    b.add_class(b.ids(_dummies(k - 2)), (k * k - 2 * k) // 4, "U")
     return b.build(k)
 
 
@@ -222,7 +217,12 @@ def warmup_sequence(k: int) -> list[Swap]:
 # Atomic families F(j, k) and E(j, k)
 
 
-_SWAP_AB = {"a": ("b",), "b": ("a",)}
+_SWAP_AB = {"a": "b", "b": "a"}
+
+
+def _swap_ab(ballot: frozenset[str]) -> frozenset[str]:
+    """The ballot with the roles a and b exchanged."""
+    return frozenset(_SWAP_AB.get(name, name) for name in ballot)
 
 
 def _f_ballots(j: int, k: int) -> list[frozenset[str]]:
@@ -230,7 +230,7 @@ def _f_ballots(j: int, k: int) -> list[frozenset[str]]:
     role-swapped F(j-1, k) with F(j-1, k-1)."""
     if j == 0:
         return [frozenset(_dummies(k - 1) + ["b"])]
-    first = [_rename(ballot, _SWAP_AB) for ballot in _f_ballots(j - 1, k)]
+    first = [_swap_ab(ballot) for ballot in _f_ballots(j - 1, k)]
     return first + _f_ballots(j - 1, k - 1)
 
 
@@ -243,63 +243,75 @@ def f_election(j: int, k: int) -> LabeledElection:
     half = len(ballots) // 2
     for idx, ballot in enumerate(ballots):
         group = "N1" if (j > 1 and idx < half) else ("N2" if j > 1 else "N")
-        b.add_class(ballot, 1, group)
+        b.add_class(b.ids(ballot), 1, group)
     return b.build(k)
 
 
-def _e_ballots(j: int, k: int) -> tuple[list[frozenset[str]], dict[int, int]]:
+def _e_ballots(j: int, k: int) -> list[frozenset[str]]:
     """A role-swapped copy of F(j-1, k-1) with x added, then the copy
-    itself with y added; voter i and voter half+i are counterparts."""
+    itself with y added; see :func:`_mirror` for the counterparts."""
     _check_depth("e family", j, k)
     base = _f_ballots(j - 1, k - 1)
-    half = len(base)
-    first = [_rename(ballot, _SWAP_AB) | {"x"} for ballot in base]
+    return [_swap_ab(ballot) | {"x"} for ballot in base] + [ballot | {"y"} for ballot in base]
+
+
+def _mirror(half: int, offset: int = 0) -> dict[int, int]:
+    """The counterpart map of one e-family copy whose 2*half voters start
+    at ``offset``: voter offset+i and voter offset+half+i are mirrors."""
     counterpart: dict[int, int] = {}
-    for i in range(half):
+    for i in range(offset, offset + half):
         counterpart[i], counterpart[half + i] = half + i, i
-    return first + [ballot | {"y"} for ballot in base], counterpart
+    return counterpart
 
 
 def e_election(j: int, k: int) -> LabeledElection:
     """Two mirrored copies of the f family joined by the direction flags
     x and y; the recorded counterpart bijection pairs each voter with
     her mirror image."""
-    ballots, counterpart = _e_ballots(j, k)
+    ballots = _e_ballots(j, k)
     b = _Builder(_dummies(k - 2) + ["x", "y", "a", "b"])
     half = len(ballots) // 2
     for idx, ballot in enumerate(ballots):
-        b.add_class(ballot, 1, "N1" if idx < half else "N2")
-    return b.build(k, counterpart)
+        b.add_class(b.ids(ballot), 1, "N1" if idx < half else "N2")
+    return b.build(k, _mirror(half))
 
 
 # ---------------------------------------------------------------------------
 # Chained family E^t(j, k)
 
 
+_ROLES = frozenset({"a", "b", "x", "y"})
+
+
 def _et_ballots(
-    chain: list[str], x: Iterable[str], y: Iterable[str], j: int, k: int
-) -> tuple[list[tuple[frozenset[str], int]], dict[int, int]]:
-    """Ballots of t = len(chain) - 1 chained copies of the e family over
-    the chain names, the forward flag names ``x``, the backward flag
-    names ``y`` and d1..d(k-2), with the copy index (1-based) attached,
-    plus the merged counterpart map."""
-    t = len(chain) - 1
-    base, base_cp = _e_ballots(j, k)
-    out: list[tuple[frozenset[str], int]] = []
-    counterpart: dict[int, int] = {}
-    for i in range(1, t + 1):
-        offset = len(out)
+    column: Sequence[int], x: Sequence[int], y: Sequence[int], dummies: Sequence[int],
+    j: int, k: int,
+) -> Iterator[tuple[frozenset[int], int]]:
+    """Ballots of t = len(column) - 1 chained copies of the e family over
+    the chain indices ``column``, the forward flag indices ``x``, the
+    backward flag indices ``y`` and the dummy indices ``dummies`` (d1
+    first), each with its copy index (1-based)."""
+    # Each atomic ballot splits once into its dummy indices and its
+    # roles; a copy only chooses what each role stands for.
+    dummy_index = dict(zip(_dummies(k - 2), dummies))
+    split = [
+        (frozenset(dummy_index[name] for name in ballot - _ROLES), ballot & _ROLES)
+        for ballot in _e_ballots(j, k)
+    ]
+    kinds = {roles for _, roles in split}
+    for i in range(1, len(column)):
         # Every copy's forward-direction voters approve the shared x and
         # its backward-direction voters the shared y; this keeps each
         # restricted copy isomorphic to the atomic family with x seated
         # exactly when the ascending direction is the improving one.
         # Clone closure: a voter of copy i approves the whole lower
         # segment c1..ci or upper segment c(i+1)..c(t+1), never part of one.
-        names = {"a": chain[:i], "b": chain[i:], "x": x, "y": y}
-        out.extend((_rename(ballot, names), i) for ballot in base)
-        for v, w in base_cp.items():
-            counterpart[offset + v] = offset + w
-    return out, counterpart
+        stands_for = {"a": column[:i], "b": column[i:], "x": x, "y": y}
+        role_ids = {roles: frozenset().union(*(stands_for[r] for r in roles)) for roles in kinds}
+        for dummy_ids, roles in split:
+            # Filled one by one, a frozenset gets the same table size as the
+            # parser's; a set union may double it.
+            yield frozenset(chain(dummy_ids, role_ids[roles])), i
 
 
 def e_t_election(t: int, j: int, k: int) -> LabeledElection:
@@ -307,11 +319,15 @@ def e_t_election(t: int, j: int, k: int) -> LabeledElection:
     c1..c(t+1) and the direction flags x, y."""
     if type(t) is not int or t < 1:
         raise ConstructionError(f"e_t family needs an int t >= 1, got {t!r}")
-    chain = [f"c{q}" for q in range(1, t + 2)]
-    ballots, counterpart = _et_ballots(chain, {"x"}, {"y"}, j, k)
-    b = _Builder(chain + ["x", "y"] + _dummies(k - 2))
-    for ballot, copy_index in ballots:
+    _check_depth("e family", j, k)
+    b = _Builder([f"c{q}" for q in range(1, t + 2)] + ["x", "y"] + _dummies(k - 2))
+    dummies = range(t + 3, t + k + 1)
+    for ballot, copy_index in _et_ballots(range(t + 1), [t + 1], [t + 2], dummies, j, k):
         b.add_class(ballot, 1, f"N{copy_index}")
+    per_copy = len(b.classes) // t
+    counterpart: dict[int, int] = {}
+    for offset in range(0, len(b.classes), per_copy):
+        counterpart.update(_mirror(per_copy // 2, offset))
     return b.build(k, counterpart)
 
 
@@ -396,15 +412,19 @@ def layered_election(params: LayeredParams) -> LabeledElection:
 def _layered_builder(params: LayeredParams) -> _Builder:
     """The layered election's candidates and classes, not yet frozen."""
     t, k2, levels = params.t, params.k2, params.levels
-    columns = [[f"c[{i},{q}]" for q in range(1, t + 2)] for i in range(1, levels + 1)]
-    b = _Builder([name for chain in columns for name in chain] + _dummies(k2))
-    for i, chain in enumerate(columns, start=1):
+    columns = [_column(params, i) for i in range(1, levels + 1)]
+    dummies = range(columns[-1].stop, columns[-1].stop + k2)
+    b = _Builder(
+        [f"c[{i},{q}]" for i in range(1, levels + 1) for q in range(1, t + 2)] + _dummies(k2)
+    )
+    for i, column in enumerate(columns, start=1):
         if i < levels:  # the next column's odd and even positions
             forward, backward = columns[i][0::2], columns[i][1::2]
         else:
-            forward, backward = [f"d{k2}"], []
-        ballots, _ = _et_ballots(chain, forward, backward, params.level_arity(i), k2 + 1)
-        for ballot, _copy in ballots:
+            forward, backward = dummies[-1:], ()
+        for ballot, _copy in _et_ballots(
+            column, forward, backward, dummies, params.level_arity(i), k2 + 1
+        ):
             b.add_class(ballot, 1, f"N{i}")
     return b
 
@@ -576,10 +596,10 @@ def hardened_election(hp: HardenedParams) -> LabeledElection:
     b = _layered_builder(params)
     weight = hp.blocker_weight
     for i in range(1, params.levels + 1):
-        column = frozenset(f"c[{i},{q}]" for q in range(1, params.t + 2))
-        b.add_class(column, weight, f"V{i}")
+        b.add_class(frozenset(_column(params, i)), weight, f"V{i}")
+    dummies = _column(params, params.levels).stop
     for i in range(1, params.k2 + 1):
-        b.add_class(frozenset({f"d{i}"}), weight, f"V{params.levels + i}")
+        b.add_class(frozenset({dummies + i - 1}), weight, f"V{params.levels + i}")
     return b.build(params.k)
 
 

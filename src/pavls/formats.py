@@ -45,19 +45,26 @@ def serialize_native(election: Election) -> str:
     A candidate name must be non-empty, without leading or trailing
     whitespace and without a line break, or it would not parse back.
     """
+    if not isinstance(election, Election):
+        raise FormatError(f"can only serialize an Election, got {type(election).__name__}")
     k = election.committee_size if election.committee_size is not None else 0
     lines = [f"{_NATIVE_MAGIC} {_NATIVE_VERSION} {election.m} {k}"]
     for idx, name in enumerate(election.candidate_names):
         if not isinstance(name, str) or name.strip().splitlines() != [name]:
             raise FormatError(f"candidate {idx} name {name!r} would not round-trip")
         lines.append(f"cand {idx} {name}")
+    # Entries are ints in [0, m); indexing their spelled-out forms is
+    # faster than calling str on each.
+    spelled = [str(c) for c in range(election.m)]
     for bc in election.ballot_classes:
-        entries = " ".join(str(c) for c in sorted(bc.approves))
+        entries = " ".join(map(spelled.__getitem__, sorted(bc.approves)))
         lines.append(f"ballot {bc.weight}:{' ' if entries else ''}{entries}")
     return "\n".join(lines) + "\n"
 
 
 def parse_native(text: str) -> Election:
+    if not isinstance(text, str):
+        raise FormatError(f"native text must be a str, got {type(text).__name__}")
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty input")
@@ -73,7 +80,8 @@ def parse_native(text: str) -> Election:
     if m < 1 or k < 0 or k > m:
         raise FormatError(f"bad sizes m={m}, k={k}", line=1)
 
-    names: list[Optional[str]] = [None] * m
+    # Keyed by index: a header declaring a huge m allocates nothing.
+    names: dict[int, str] = {}
     classes: list[BallotClass] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -89,7 +97,7 @@ def parse_native(text: str) -> Election:
                 raise FormatError(f"bad candidate index {parts[1]!r}", line=lineno)
             if not 0 <= idx < m:
                 raise FormatError(f"candidate index {idx} out of range [0, {m})", line=lineno)
-            if names[idx] is not None:
+            if idx in names:
                 raise FormatError(f"duplicate candidate index {idx}", line=lineno)
             names[idx] = parts[2]
         elif line.startswith("ballot "):
@@ -103,24 +111,28 @@ def parse_native(text: str) -> Election:
             if weight < 1:
                 raise FormatError(f"ballot weight must be positive, got {weight}", line=lineno)
             try:
-                entries = [int(tok) for tok in tail.split()]
+                entries = list(map(int, tail.split()))
             except ValueError:
                 raise FormatError("non-integer ballot entry", line=lineno)
-            for c in entries:
-                if not 0 <= c < m:
-                    raise FormatError(f"ballot entry {c} out of range [0, {m})", line=lineno)
-            if entries != sorted(set(entries)):
+            # Whole-line tests in C; the first bad entry is named only on
+            # failure, and a range error goes before an order error.
+            if entries and (min(entries) < 0 or max(entries) >= m):
+                bad = next(c for c in entries if not 0 <= c < m)
+                raise FormatError(f"ballot entry {bad} out of range [0, {m})", line=lineno)
+            # Sorted without a repeat is strictly increasing.
+            ballot = frozenset(entries)
+            if len(ballot) < len(entries) or entries != sorted(entries):
                 raise FormatError("ballot entries must be strictly increasing", line=lineno)
-            classes.append(BallotClass(frozenset(entries), weight))
+            classes.append(BallotClass(ballot, weight))
         else:
             raise FormatError(f"unrecognized line {line!r}", line=lineno)
 
-    missing = [i for i, name in enumerate(names) if name is None]
-    if missing:
-        raise FormatError(f"candidate {missing[0]} never declared")
+    if len(names) < m:
+        missing = next(i for i in range(m) if i not in names)
+        raise FormatError(f"candidate {missing} never declared")
     if not classes:
         raise FormatError("no ballot lines")
-    return Election(tuple(names), tuple(classes), None if k == 0 else k)
+    return Election(tuple(names[i] for i in range(m)), tuple(classes), None if k == 0 else k)
 
 
 # ---------------------------------------------------------------------------

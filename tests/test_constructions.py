@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -161,6 +163,61 @@ def test_atomic_families_need_depth_at_least_one():
 def test_builder_rejects_duplicate_label():
     with pytest.raises(ConstructionError, match="duplicate candidate label 'a'"):
         _Builder(["a", "b", "a"])
+
+
+def test_label_lookups_name_the_unknown_label():
+    # An unknown label raised KeyError, an unhashable one TypeError.
+    lab = e_election(2, 5)
+    assert lab.committee("x", "a") == {lab.candidate("x"), lab.candidate("a")}
+    for label in ("zz", ["x"], None, 0):
+        message = re.escape(f"unknown candidate label {label!r}")
+        with pytest.raises(ConstructionError, match=message):
+            lab.candidate(label)
+        with pytest.raises(ConstructionError, match=message):
+            lab.committee("x", label)
+
+
+# SHA-256 of serialize_native followed by json.dumps of the labels sidecar
+# that ``pavls construct --labels-out`` writes (candidate_labels, sorted
+# voter_groups, counterpart, in that order).  Recorded at commit 3c82f81,
+# whose builder still spelled each ballot as label strings and mapped
+# them to indices; building ballots as index sets must not change a byte.
+_CONSTRUCTION_DIGESTS = {
+    "warmup(8)": (
+        lambda: warmup_election(8),
+        "db79e06d90347ff8fe44f7b55c11405d8420331fabf8ee66b80d3bb38bf97a05"),
+    "f(3, 6)": (
+        lambda: f_election(3, 6),
+        "865c0986798a98233cb04a8137f45b882c460148b25a87bf719f0141eadccb76"),
+    "e(3, 8)": (
+        lambda: e_election(3, 8),
+        "1f9c5b704ceb4c7eea446fc20448ea96f37bd4433b6df150e3a5c218f01fbd50"),
+    "e_t(4, 2, 5)": (
+        lambda: e_t_election(4, 2, 5),
+        "25abd506d7cf63621dc7d2e55d861e9a15d5f24b2f15cb7d8e3f867ab0a43a05"),
+    "layered(2, 22)": (
+        lambda: layered_election(LayeredParams(2, 22)),
+        "2db5af6b499f94d7dac3bf0a81b73a8784e0f2f5743b6da3a88dde5aea8ca631"),
+    "layered(3, 10)": (
+        lambda: layered_election(LayeredParams(3, 10)),
+        "033423d2e472f9ae914422bb25ca1ba1a2323f64b5f56aaf161c69ba767495d4"),
+    "hardened(2, 22)": (
+        lambda: hardened_election(HardenedParams(LayeredParams(2, 22))),
+        "74cc7e6b3a88b0cd408db17d2f0e09dea686f58349bc6c33c913b3fd4e77d379"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CONSTRUCTION_DIGESTS))
+def test_construction_outputs_pinned(family):
+    build, want = _CONSTRUCTION_DIGESTS[family]
+    lab = build()
+    sidecar = {
+        "candidate_labels": lab.candidate_labels,
+        "voter_groups": {g: sorted(v) for g, v in lab.voter_groups.items()},
+        "counterpart": lab.counterpart,
+    }
+    text = serialize_native(lab.election) + json.dumps(sidecar)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("j,k", [(1, 3), (1, 6), (2, 4), (2, 7), (3, 5), (4, 6)])
@@ -512,6 +569,8 @@ def test_certify_hardened_gamma_too_small():
 _JUNK = (-1, 0, 1, 2, 3, 2.0, 2.5, True, False, None, "2", Fraction(5, 2), Fraction(4))
 _junk = st.sampled_from(_JUNK)
 _P22 = LayeredParams(2, 22)
+_E25 = e_election(2, 5)
+_label = st.sampled_from(sorted(_E25.candidate_labels) + ["zz", ""]) | _junk | st.just(["x"])
 # name -> (call, one strategy per argument).  No size exceeds 4, so
 # every election built here is tiny.
 _ENTRY_POINTS = {
@@ -529,6 +588,8 @@ _ENTRY_POINTS = {
     "iter_x_sequence": (lambda *a: list(iter_x_sequence(_P22, *a)), (_junk, _junk)),
     "iter_z_sequence": (lambda *a: list(iter_z_sequence(_P22, *a)), (_junk, _junk)),
     "HardenedParams": (HardenedParams, (st.just(_P22) | _junk, _junk)),
+    "candidate": (_E25.candidate, (_label,)),
+    "committee": (lambda labels: _E25.committee(*labels), (st.lists(_label, max_size=3),)),
 }
 
 

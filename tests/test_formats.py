@@ -8,6 +8,7 @@ from pavls import (
     BallotClass,
     Election,
     FormatError,
+    PavlsError,
     parse_native,
     parse_preflib_categorical,
     pav_score,
@@ -102,6 +103,82 @@ def test_native_rejects_malformed(mutation, line):
     with pytest.raises(FormatError) as exc:
         parse_native(mutation)
     assert exc.value.line == line
+
+
+_TWO = "pavls 1 2 1\ncand 0 a\ncand 1 b\n"
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        # A range error goes before an order error, and names the first
+        # entry out of range.
+        ("7 0", "line 4: ballot entry 7 out of range [0, 2)"),
+        ("1 0 7", "line 4: ballot entry 7 out of range [0, 2)"),
+        ("0 9 -1", "line 4: ballot entry 9 out of range [0, 2)"),
+        ("-1", "line 4: ballot entry -1 out of range [0, 2)"),
+        ("1 1", "line 4: ballot entries must be strictly increasing"),
+        ("0 1 1", "line 4: ballot entries must be strictly increasing"),
+        ("1 0", "line 4: ballot entries must be strictly increasing"),
+        ("0 x", "line 4: non-integer ballot entry"),
+    ],
+)
+def test_native_ballot_entry_errors(entries, message):
+    with pytest.raises(FormatError) as exc:
+        parse_native(f"{_TWO}ballot 1: {entries}\n")
+    assert str(exc.value) == message and exc.value.line == 4
+
+
+def test_native_ballot_entries_int_syntax():
+    # A ballot line holds whatever int() reads: no entry, or a signed one.
+    e = parse_native(f"{_TWO}ballot 1:\nballot 2: +1\nballot 3: 0 +1\n")
+    assert e.ballot_classes == (
+        BallotClass(frozenset(), 1),
+        BallotClass(frozenset({1}), 2),
+        BallotClass(frozenset({0, 1}), 3),
+    )
+    assert serialize_native(e).endswith("ballot 1:\nballot 2: 1\nballot 3: 0 1\n")
+
+
+def test_native_huge_declared_size_allocates_nothing():
+    # A names table of m slots raised MemoryError here.
+    with pytest.raises(FormatError, match="candidate 1 never declared"):
+        parse_native("pavls 1 1000000000000 0\ncand 0 a\nballot 1: 0\n")
+
+
+@pytest.mark.parametrize("text", [None, 123, b"pavls 1 1 0\n", ["pavls 1 1 0"]])
+def test_parse_native_needs_text(text):
+    with pytest.raises(FormatError, match="native text must be a str"):
+        parse_native(text)
+
+
+@pytest.mark.parametrize("election", ["x", None, ("a",), BallotClass(frozenset(), 1)])
+def test_serialize_native_needs_an_election(election):
+    with pytest.raises(FormatError, match="can only serialize an Election"):
+        serialize_native(election)
+
+
+@st.composite
+def _mutated_native(draw):
+    # A valid text with up to four spans of at most four characters each
+    # replaced by at most four characters of a format-heavy alphabet, so
+    # the edits insert, delete and overwrite.
+    text = serialize_native(draw(_elections()))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 4)))
+        text = text[:start] + draw(st.text("0123456789 +-_:\nabcdlpvs", max_size=4)) + text[stop:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_native())
+def test_parse_native_mutations_raise_or_round_trip(text):
+    try:
+        e = parse_native(text)
+    except PavlsError:
+        return
+    assert parse_native(serialize_native(e)) == e
 
 
 PREFLIB_SAMPLE = """\
