@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 class PavlsError(Exception):
@@ -72,9 +72,23 @@ class Swap(NamedTuple):
     in_candidate: int
 
 
-def inverse_sequence(seq: Sequence[Swap]) -> list[Swap]:
-    """Reverse the sequence and flip each swap."""
-    return [Swap(s.in_candidate, s.out_candidate) for s in reversed(seq)]
+def inverse_sequence(seq: Iterable[tuple[int, int]]) -> list[Swap]:
+    """Reverse the sequence and flip each swap; a step may be any pair.
+
+    A ``seq`` that is not iterable, or a step that is not a pair, raises
+    :class:`InvalidSwapError`."""
+    try:
+        steps = iter(seq)
+    except TypeError:
+        raise InvalidSwapError(f"swap sequence must be iterable, got {seq!r}") from None
+    inverse = []
+    for step in reversed(list(steps)):
+        try:
+            a, b = step
+        except (TypeError, ValueError):
+            raise InvalidSwapError(f"swap {step!r} is not a pair") from None
+        inverse.append(Swap(b, a))
+    return inverse
 
 
 @dataclass(frozen=True)
@@ -321,20 +335,26 @@ class SatisfactionState:
     ``cells`` maps each occupied cell key g * stride + h (see
     ``Election._cell_stride``) to the mask of the classes of weight group
     g approving exactly h committee members; the masks are disjoint and
-    together cover every class.  ``scan`` holds the caches of one scan,
-    a pair of dicts (sums, values): None outside a scan,
-    :meth:`begin_scan` creates both, and :func:`apply_swap` or the end
-    of a picker's scan drops both.
-    During a scan :func:`delta` fills sums lazily with each incoming
-    candidate's gain sum and each outgoing member's loss sum and
-    approver parts, and values with each delta numerator (on the scale
-    of ``Election._cell_coefficients``) and its Fraction, so a scan
-    builds each distinct value once.  Owned by exactly one run at a
-    time; concurrent runs over the same election each build their own
+    together cover every class.
+
+    ``values`` maps each delta numerator (on the scale of
+    ``Election._cell_coefficients``) that :func:`delta` has returned to
+    its Fraction, so equal deltas are one object and each distinct value
+    is built once.  ``__init__`` creates it empty and :meth:`begin_scan`
+    replaces it, so a scan's table holds at most its k(m-k) values and a
+    replay's at most its distinct step values; :func:`apply_swap` keeps
+    it, since a value does not depend on the committee.
+
+    ``scan`` holds one scan's sums dict: None outside a scan,
+    :meth:`begin_scan` creates it, and :func:`apply_swap` or the end of
+    a picker's scan drops it.  During a scan :func:`delta` fills it
+    lazily with each incoming candidate's gain sum and each outgoing
+    member's loss sum and approver parts.  Owned by exactly one run at
+    a time; concurrent runs over the same election each build their own
     state.
     """
 
-    __slots__ = ("election", "committee", "cells", "scan")
+    __slots__ = ("election", "committee", "cells", "scan", "values")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
@@ -346,33 +366,41 @@ class SatisfactionState:
         for c in members:
             cells = _move(cells, 0, masks[c])
         self.cells = cells
-        self.scan: Optional[tuple[dict, dict[int, Fraction]]] = None
+        self.scan: Optional[dict] = None
+        self.values: dict[int, Fraction] = {}
 
     def begin_scan(self) -> None:
-        """Give :func:`delta` empty caches for a scan of the current
-        committee's swaps; the next :func:`apply_swap` drops them.
+        """Give :func:`delta` an empty sums dict for a scan of the current
+        committee's swaps, which the next :func:`apply_swap` drops, and
+        an empty value table, which stays until the next scan.
 
-        Until then :func:`delta` checks nothing and trusts its caller, as
-        it trusts the pickers' scan: the state was checked with
-        :func:`check_state`, ``a`` is seated and ``b`` is an unseated
-        candidate."""
-        self.scan = {}, {}
+        While the sums dict is open :func:`delta` checks nothing and
+        trusts its caller, as it trusts the pickers' scan: the state was
+        checked with :func:`check_state`, ``a`` is seated and ``b`` is an
+        unseated candidate."""
+        self.scan = {}
+        self.values = {}
 
 
 def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
     """The cells after the classes in ``down`` lose one hit and those in
-    ``up`` gain one (``down`` and ``up`` are disjoint)."""
-    keep = ~(down | up)
+    ``up`` gain one (``down`` and ``up`` are disjoint).  A cell holding
+    none of them is carried over whole."""
+    moving = down | up
     moved: dict[int, int] = {}
     get = moved.get
     for key, mask in cells.items():
-        part = mask & keep
+        hit = mask & moving
+        if not hit:
+            moved[key] = get(key, 0) | mask
+            continue
+        part = mask ^ hit
         if part:
             moved[key] = get(key, 0) | part
-        part = mask & down
+        part = hit & down
         if part:
             moved[key - 1] = get(key - 1, 0) | part
-        part = mask & up
+        part = hit & up
         if part:
             moved[key + 1] = get(key + 1, 0) | part
     return moved
@@ -416,20 +444,21 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     Only ballot classes approving exactly one of {a, b} count: a class
     of weight w at h hits approving b but not a gains w/(h+1), one
     approving a but not b loses w/h.  Outside a scan (``state.scan`` is
-    None), both sets are masks, so each occupied (weight group, hit
-    count) cell of the state costs two popcounts and two multiplies by
-    cached integer coefficients, and the Fraction is built directly.  A
-    replay evaluates one pair per state, where scan caches would cost
-    more than they save, so it takes this path.  During a scan (see
+    None), both sets are masks, built without negative ints, so each
+    occupied (weight group, hit count) cell holding some of them costs
+    two popcounts and two multiplies by cached integer coefficients, and
+    a cell holding none is skipped.  A replay evaluates one pair per
+    state, where scan sums would cost more than they save, so it takes
+    this path.  During a scan (see
     :meth:`SatisfactionState.begin_scan`) the same value is
 
         G[b] - L[a] + sum over the classes approving a and b of w/(h(h+1)),
 
     with G[b] = sum over b's approvers of w/(h+1) and L[a] = sum over
     a's approvers of w/h read from the scan's sums, so a pair costs one
-    popcount per cell holding some of a's approvers, and the Fraction is
-    built once per distinct value of the scan (see
-    :class:`SatisfactionState`).
+    popcount per cell holding some of a's approvers.  Either path
+    returns the Fraction interned in ``state.values`` (see
+    :class:`SatisfactionState`), built once per distinct value.
 
     Outside a scan every argument is checked (:func:`check_state`, then
     :func:`check_swap`).  During a scan nothing is: the scan checked the
@@ -445,36 +474,39 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     masks = election.approval_masks
     scale, up, down = election._cell_coefficients
     if scan is None:
-        gain = masks[b] & ~masks[a]
-        loss = masks[a] & ~masks[b]
+        both = masks[a] & masks[b]
+        gain = masks[b] ^ both
+        loss = masks[a] ^ both
+        moving = gain | loss
         num = 0
         for key, mask in state.cells.items():
-            num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
-        return Fraction(num, scale)
-    sums, values = scan
-    mask_b = masks[b]
-    num = sums.get(b)
-    if num is None:
-        num = sums[b] = sum(
-            (mask_b & mask).bit_count() * up[key] for key, mask in state.cells.items()
-        )
-    outgoing = sums.get(a)
-    if outgoing is None:
-        # L[a], and each non-empty part of a cell approving a with its
-        # coefficient w/(h(h+1)) = w/h - w/(h+1), positive since h >= 1.
-        mask_a = masks[a]
-        loss, parts = 0, []
-        for key, mask in state.cells.items():
-            part = mask_a & mask
-            if part:
-                loss += part.bit_count() * down[key]
-                parts.append((part, down[key] - up[key]))
-        outgoing = sums[a] = loss, parts
-    loss, parts = outgoing
-    num -= loss
-    for part, coefficient in parts:
-        num += (part & mask_b).bit_count() * coefficient
+            if mask & moving:
+                num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
+    else:
+        mask_b = masks[b]
+        num = scan.get(b)
+        if num is None:
+            num = scan[b] = sum(
+                (mask_b & mask).bit_count() * up[key] for key, mask in state.cells.items()
+            )
+        outgoing = scan.get(a)
+        if outgoing is None:
+            # L[a], and each non-empty part of a cell approving a with its
+            # coefficient w/(h(h+1)) = w/h - w/(h+1), positive since h >= 1.
+            mask_a = masks[a]
+            loss, parts = 0, []
+            for key, mask in state.cells.items():
+                part = mask_a & mask
+                if part:
+                    loss += part.bit_count() * down[key]
+                    parts.append((part, down[key] - up[key]))
+            outgoing = scan[a] = loss, parts
+        loss, parts = outgoing
+        num -= loss
+        for part, coefficient in parts:
+            num += (part & mask_b).bit_count() * coefficient
     # Fraction(0) is falsy, so test for a missing entry with "is None".
+    values = state.values
     value = values.get(num)
     if value is None:
         value = values[num] = Fraction(num, scale)
@@ -492,7 +524,8 @@ def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
         raise PavlsError(f"not a SatisfactionState: a {type(state).__name__}")
     check_swap(state, a, b)
     masks = state.election.approval_masks
-    state.cells = _move(state.cells, masks[a] & ~masks[b], masks[b] & ~masks[a])
+    both = masks[a] & masks[b]
+    state.cells = _move(state.cells, masks[a] ^ both, masks[b] ^ both)
     state.scan = None
     state.committee.discard(a)
     state.committee.add(b)

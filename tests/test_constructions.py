@@ -36,7 +36,8 @@ from pavls import (
     x_length,
 )
 from pavls.constructions import _Builder, _column, _f_ballots
-from pavls.core import SatisfactionState
+from pavls.core import SatisfactionState, apply_swap
+from pavls.search import next_swap_best
 
 
 def _dummy_names(count):
@@ -371,6 +372,33 @@ def test_layered_x_sequence_certifies_small():
     )
     assert cert.certified_good
     assert cert.steps == x_length(p, 2)
+
+
+def test_replay_interns_step_values():
+    # A replay builds each distinct step value once: equal step deltas are
+    # one object, and the state's value table ends with one entry per
+    # distinct value.  A scan starts a new table, of at most k(m-k) values.
+    p = LayeredParams(2, 22)
+    e = layered_election(p).election
+    start = layered_initial_committee(p)
+    eps = Epsilon.zero_plus(p.k)
+    seq = list(iter_x_sequence(p, 2, 1))
+    cert = validate_sequence(e, start, seq, eps)
+    assert cert.certified_good and cert.steps == len(seq)
+    distinct = set(cert.step_deltas)
+    assert len(set(map(id, cert.step_deltas))) == len(distinct) < cert.steps
+    state = SatisfactionState(e, start)
+    assert state.values == {}
+    for a, b in seq:
+        d = delta(e, state, a, b)
+        assert state.values[d.numerator * (e._cell_coefficients[0] // d.denominator)] is d
+        apply_swap(state, Swap(a, b))
+    assert len(state.values) == len(distinct)
+    assert set(state.values.values()) == distinct
+    state.begin_scan()
+    assert state.values == {}
+    next_swap_best(e, state, eps)
+    assert 0 < len(state.values) <= p.k * (e.m - p.k)
 
 
 def test_layered_stability_at_sampled_prefixes():

@@ -249,6 +249,15 @@ def test_inverse_sequence():
     seq = [Swap(1, 2), Swap(3, 4)]
     assert inverse_sequence(seq) == [Swap(4, 3), Swap(2, 1)]
     assert inverse_sequence(inverse_sequence(seq)) == seq
+    # Any iterable of pairs, as validate_sequence accepts; Swaps come back.
+    for pairs in ([(1, 2), (3, 4)], iter(seq), (s for s in seq), ([1, 2], (3, 4))):
+        inverse = inverse_sequence(pairs)
+        assert inverse == [Swap(4, 3), Swap(2, 1)]
+        assert all(type(s) is Swap for s in inverse)
+    assert inverse_sequence([]) == []
+    for bad in (None, 3, Swap, [(1, 2), (3,)], [(1, 2, 3)], [None], [5]):
+        with pytest.raises(InvalidSwapError):
+            inverse_sequence(bad)
 
 
 def test_assert_quantized(fig1a):
@@ -418,8 +427,15 @@ def _check_cells(election, state):
     assert covered == (1 << len(election.ballot_classes)) - 1
 
 
+# Candidates 0 and 1 have the same approvers, so swapping one for the
+# other gains exactly 0.
+_ZERO_GAIN = Election(("c0", "c1", "c2"),
+                      (BallotClass(frozenset({0, 1}), 2), BallotClass(frozenset({2}), 3)), 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_walks())
+@example(walk=(_ZERO_GAIN, (0,), [(0, 0)]))  # no class moves: every cell is skipped
 def test_engine_walk_matches_scratch_scores(walk):
     """delta and apply_swap along a walk agree with pav_score recomputed
     from scratch at every step."""
@@ -458,10 +474,10 @@ def test_scan_sums_match_one_pass_delta(walk):
         # Whatever caches the last swap left in place (None) are used here.
         one_pass = {pair: delta(e, state, *pair) for pair in pairs}
         state.begin_scan()
+        sums = state.scan
         for a, b in pairs:
             d = delta(e, state, a, b)
             assert d == one_pass[a, b] == pav_score(e, (current - {a}) | {b}) - score
-            sums = state.scan[0]
             assert Fraction(sums[b] - sums[a][0], scale) <= d
         if step is None:
             break
@@ -470,12 +486,6 @@ def test_scan_sums_match_one_pass_delta(walk):
         apply_swap(state, Swap(a, b))
         assert state.scan is None
         current = (current - {a}) | {b}
-
-
-# Candidates 0 and 1 have the same approvers, so swapping one for the
-# other gains exactly 0.
-_ZERO_GAIN = Election(("c0", "c1", "c2"),
-                      (BallotClass(frozenset({0, 1}), 2), BallotClass(frozenset({2}), 3)), 1)
 
 
 @pytest.mark.parametrize("selector", ["zero-plus", "threshold", "28/3", "1/2"])
@@ -583,6 +593,7 @@ _ENGINE_ENTRY_POINTS = {
     "is_locally_optimal": (lambda *a: is_locally_optimal(_E5, *a), ("committee", "epsilon")),
     "pav_score": (lambda *a: pav_score(_E5, *a), ("committee",)),
     "SatisfactionState": (lambda *a: SatisfactionState(_E5, *a), ("committee",)),
+    "inverse_sequence": (inverse_sequence, ("sequence",)),
 }
 
 
