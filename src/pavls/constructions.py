@@ -88,10 +88,6 @@ class _Builder:
         self.classes: list[BallotClass] = []
         self.groups: dict[str, list[int]] = {}
 
-    def ids(self, names: Iterable[str]) -> frozenset[int]:
-        """The indices of the named candidates."""
-        return frozenset(self.index[name] for name in names)
-
     def add_class(self, ballot: frozenset[int], weight: int, group: str) -> None:
         self.groups.setdefault(group, []).append(len(self.classes))
         self.classes.append(BallotClass(ballot, weight))
@@ -156,9 +152,13 @@ def delta_formula(j: int, k: int) -> Fraction:
 # Warm-up family (quadratic lower bound for the n/k^2 threshold)
 
 
-def _check_warmup_size(k: int) -> None:
+def _warmup_layout(k: int) -> tuple[range, range, range]:
+    """The indices of c[1,1..t+1], of c[2,1..k] and of the dummies
+    d1..d(k-2), in that order, with t = floor(k/4)."""
     if type(k) is not int or k < 4:
         raise ConstructionError(f"warmup family needs an int k >= 4, got {k!r}")
+    t = k // 4
+    return range(t + 1), range(t + 1, t + k + 1), range(t + k + 1, t + 2 * k - 1)
 
 
 def warmup_election(k: int) -> LabeledElection:
@@ -171,24 +171,20 @@ def warmup_election(k: int) -> LabeledElection:
     staircase groups S_j pay for each forward step on the long chain,
     and the dummy group U pads the voter count to just below k^2/2.
     """
-    _check_warmup_size(k)
+    c1, c2, dummies = map(list, _warmup_layout(k))  # see _et_ballots
     t = k // 4
     b = _Builder(
         [f"c[1,{i}]" for i in range(1, t + 2)]
         + [f"c[2,{j}]" for j in range(1, k + 1)]
         + _dummies(k - 2)
     )
-    even_c2 = frozenset(f"c[2,{j}]" for j in range(2, k + 1, 2))
-    odd_c2 = frozenset(f"c[2,{j}]" for j in range(1, k + 1, 2))
-    for i in range(1, t + 1):
-        upper = frozenset(f"c[1,{q}]" for q in range(i + 1, t + 2))
-        b.add_class(b.ids(upper | even_c2), 1, "V1")
-    for i in range(1, t + 1):
-        lower = frozenset(f"c[1,{q}]" for q in range(1, i + 1))
-        b.add_class(b.ids(lower | odd_c2), 1, "V2")
+    for i in range(1, t + 1):  # c[1,i+1..t+1] and the even c[2,.]
+        b.add_class(frozenset(chain(c1[i:], c2[1::2])), 1, "V1")
+    for i in range(1, t + 1):  # c[1,1..i] and the odd c[2,.]
+        b.add_class(frozenset(chain(c1[:i], c2[0::2])), 1, "V2")
     for j in range(1, k + 1):
-        b.add_class(b.ids(f"c[2,{q}]" for q in range(j, k + 1)), t, f"S{j}")
-    b.add_class(b.ids(_dummies(k - 2)), (k * k - 2 * k) // 4, "U")
+        b.add_class(frozenset(c2[j - 1:]), t, f"S{j}")
+    b.add_class(frozenset(dummies), (k * k - 2 * k) // 4, "U")
     return b.build(k)
 
 
@@ -201,15 +197,12 @@ def warmup_initial_committee(labeled: LabeledElection) -> frozenset[int]:
 def warmup_sequence(k: int) -> list[Swap]:
     """The full good-swap sequence: sweep the short chain up, advance the
     long chain, sweep back down, and so on for k-1 rounds."""
-    _check_warmup_size(k)
-    t = k // 4
-    c1 = lambda i: i - 1
-    c2 = lambda j: (t + 1) + (j - 1)
-    up = [Swap(c1(i), c1(i + 1)) for i in range(1, t + 1)]
+    c1, c2, _ = _warmup_layout(k)
+    up = [Swap(out, into) for out, into in zip(c1, c1[1:])]
     seq: list[Swap] = []
-    for j in range(1, k):
+    for j, (out, into) in enumerate(zip(c2, c2[1:]), start=1):
         seq.extend(up if j % 2 == 1 else inverse_sequence(up))
-        seq.append(Swap(c2(j), c2(j + 1)))
+        seq.append(Swap(out, into))
     return seq
 
 
@@ -217,20 +210,18 @@ def warmup_sequence(k: int) -> list[Swap]:
 # Atomic families F(j, k) and E(j, k)
 
 
+# An atomic ballot approves the dummy prefix d1..dp and one role, a or
+# b; an e-ballot also approves one direction flag, x or y.  Ballots are
+# kept as (p, role) and (p, role, flag) tuples.
 _SWAP_AB = {"a": "b", "b": "a"}
 
 
-def _swap_ab(ballot: frozenset[str]) -> frozenset[str]:
-    """The ballot with the roles a and b exchanged."""
-    return frozenset(_SWAP_AB.get(name, name) for name in ballot)
-
-
-def _f_ballots(j: int, k: int) -> list[frozenset[str]]:
+def _f_ballots(j: int, k: int) -> list[tuple[int, str]]:
     """F(0, k) is the single ballot {d1..d(k-1), b}; F(j, k) merges a
     role-swapped F(j-1, k) with F(j-1, k-1)."""
     if j == 0:
-        return [frozenset(_dummies(k - 1) + ["b"])]
-    first = [_swap_ab(ballot) for ballot in _f_ballots(j - 1, k)]
+        return [(k - 1, "b")]
+    first = [(p, _SWAP_AB[role]) for p, role in _f_ballots(j - 1, k)]
     return first + _f_ballots(j - 1, k - 1)
 
 
@@ -240,19 +231,20 @@ def f_election(j: int, k: int) -> LabeledElection:
     _check_depth("f family", j, k)
     ballots = _f_ballots(j, k)
     b = _Builder(_dummies(k - 1) + ["a", "b"])
+    role_index = {"a": k - 1, "b": k}
     half = len(ballots) // 2
-    for idx, ballot in enumerate(ballots):
+    for idx, (p, role) in enumerate(ballots):
         group = "N1" if (j > 1 and idx < half) else ("N2" if j > 1 else "N")
-        b.add_class(b.ids(ballot), 1, group)
+        b.add_class(frozenset((*range(p), role_index[role])), 1, group)
     return b.build(k)
 
 
-def _e_ballots(j: int, k: int) -> list[frozenset[str]]:
+def _e_ballots(j: int, k: int) -> list[tuple[int, str, str]]:
     """A role-swapped copy of F(j-1, k-1) with x added, then the copy
     itself with y added; see :func:`_mirror` for the counterparts."""
     _check_depth("e family", j, k)
     base = _f_ballots(j - 1, k - 1)
-    return [_swap_ab(ballot) | {"x"} for ballot in base] + [ballot | {"y"} for ballot in base]
+    return [(p, _SWAP_AB[role], "x") for p, role in base] + [(p, role, "y") for p, role in base]
 
 
 def _mirror(half: int, offset: int = 0) -> dict[int, int]:
@@ -267,20 +259,19 @@ def _mirror(half: int, offset: int = 0) -> dict[int, int]:
 def e_election(j: int, k: int) -> LabeledElection:
     """Two mirrored copies of the f family joined by the direction flags
     x and y; the recorded counterpart bijection pairs each voter with
-    her mirror image."""
-    ballots = _e_ballots(j, k)
+    her mirror image.  It is the chained family's single copy, with a
+    and b as its chain."""
+    _check_depth("e family", j, k)
+    half = 2 ** (j - 1)
     b = _Builder(_dummies(k - 2) + ["x", "y", "a", "b"])
-    half = len(ballots) // 2
-    for idx, ballot in enumerate(ballots):
-        b.add_class(b.ids(ballot), 1, "N1" if idx < half else "N2")
+    ballots = _et_ballots(range(k, k + 2), [k - 2], [k - 1], range(k - 2), j, k)
+    for idx, (ballot, _copy) in enumerate(ballots):
+        b.add_class(ballot, 1, "N1" if idx < half else "N2")
     return b.build(k, _mirror(half))
 
 
 # ---------------------------------------------------------------------------
 # Chained family E^t(j, k)
-
-
-_ROLES = frozenset({"a", "b", "x", "y"})
 
 
 def _et_ballots(
@@ -291,14 +282,10 @@ def _et_ballots(
     the chain indices ``column``, the forward flag indices ``x``, the
     backward flag indices ``y`` and the dummy indices ``dummies`` (d1
     first), each with its copy index (1-based)."""
-    # Each atomic ballot splits once into its dummy indices and its
-    # roles; a copy only chooses what each role stands for.
-    dummy_index = dict(zip(_dummies(k - 2), dummies))
-    split = [
-        (frozenset(dummy_index[name] for name in ballot - _ROLES), ballot & _ROLES)
-        for ballot in _e_ballots(j, k)
-    ]
-    kinds = {roles for _, roles in split}
+    ballots = _e_ballots(j, k)
+    # Lists, not ranges: a range makes a new int object per element past
+    # 256 in every ballot it fills, while list slices share one per index.
+    column, x, y, dummies = list(column), list(x), list(y), list(dummies)
     for i in range(1, len(column)):
         # Every copy's forward-direction voters approve the shared x and
         # its backward-direction voters the shared y; this keeps each
@@ -307,11 +294,10 @@ def _et_ballots(
         # Clone closure: a voter of copy i approves the whole lower
         # segment c1..ci or upper segment c(i+1)..c(t+1), never part of one.
         stands_for = {"a": column[:i], "b": column[i:], "x": x, "y": y}
-        role_ids = {roles: frozenset().union(*(stands_for[r] for r in roles)) for roles in kinds}
-        for dummy_ids, roles in split:
+        for p, role, flag in ballots:
             # Filled one by one, a frozenset gets the same table size as the
             # parser's; a set union may double it.
-            yield frozenset(chain(dummy_ids, role_ids[roles])), i
+            yield frozenset(chain(dummies[:p], stands_for[role], stands_for[flag])), i
 
 
 def e_t_election(t: int, j: int, k: int) -> LabeledElection:

@@ -184,6 +184,11 @@ def parse_preflib_categorical(
     approved = set(approved_category_indices)
     if not approved:
         raise FormatError("need at least one approved category")
+    # Exact ints from 1: without category names nothing else bounds an
+    # index, and groups[idx - 1] would read 0 and -1 from the end.
+    for idx in approved:
+        if type(idx) is not int or idx < 1:
+            raise FormatError(f"approved categories are 1-based ints, got {idx!r}")
 
     categories: dict[int, str] = {}
     alt_names: dict[int, str] = {}

@@ -58,7 +58,20 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values", tuple(self.k_values))
+        if not isinstance(self.source, (SamplerConfig, Election)):
+            raise HarnessError(
+                f"source must be a SamplerConfig or an Election, got {self.source!r}"
+            )
+        # Exact ints: a string would split into digit strings and bytes
+        # into character codes, and each k is written to runs.csv as
+        # given.  A k the election cannot seat stays a per-cell error.
+        try:
+            k_values = None if isinstance(self.k_values, bytes) else tuple(self.k_values)
+        except TypeError:
+            k_values = None
+        if k_values is None or any(type(k) is not int for k in k_values):
+            raise HarnessError(f"k_values must be an iterable of ints, got {self.k_values!r}")
+        object.__setattr__(self, "k_values", k_values)
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "epsilon", Epsilon.check_selector(self.epsilon))
         if not self.k_values:

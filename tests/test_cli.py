@@ -141,6 +141,18 @@ def test_preflib_loading(tmp_path, capsys):
     assert "optimum score: 5" in out
 
 
+def test_preflib_category_zero_exit_code(tmp_path, capsys):
+    # Without category names, index 0 read the last group and ran on
+    # the wrong election.
+    cat = tmp_path / "toy.cat"
+    cat.write_text("1: {1,2},{3}\n2: {3},{1}\n")
+    for cats in ("0", "1,-1"):
+        rc = main(["run", "--election", str(cat), "--format", "preflib-cat",
+                   "--approve-categories", cats, "-k", "1"])
+        assert rc == 2
+        assert "1-based" in capsys.readouterr().err
+
+
 def test_bad_epsilon_exit_code(tmp_path, capsys, fig1b):
     e_path = tmp_path / "fig1b.pavls"
     e_path.write_text(serialize_native(fig1b))

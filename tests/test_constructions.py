@@ -114,13 +114,11 @@ def test_f_election_voter_count(j, k):
 @pytest.mark.parametrize("j,k", [(1, 4), (2, 5), (3, 7)])
 def test_f_ballot_drops_one_dummy_per_size_step(j, k):
     # Voter v's ballot at size k minus her ballot at size k-1 is exactly
-    # one dummy candidate.
+    # one dummy candidate: the same role, with a dummy prefix one longer.
     big, small = _f_ballots(j, k), _f_ballots(j, k - 1)
     assert len(big) == len(small)
-    for bb, sb in zip(big, small):
-        diff = bb - sb
-        assert len(diff) == 1 and next(iter(diff)).startswith("d")
-        assert sb <= bb
+    for (big_p, big_role), (small_p, small_role) in zip(big, small):
+        assert big_role == small_role and big_p == small_p + 1
 
 
 @pytest.mark.parametrize("j,k", [(1, 3), (2, 5), (3, 8)])
@@ -205,6 +203,22 @@ _CONSTRUCTION_DIGESTS = {
     "hardened(2, 22)": (
         lambda: hardened_election(HardenedParams(LayeredParams(2, 22))),
         "74cc7e6b3a88b0cd408db17d2f0e09dea686f58349bc6c33c913b3fd4e77d379"),
+    # The smallest instance of each family.
+    "warmup(4)": (
+        lambda: warmup_election(4),
+        "836d2e3060b8d9171efafa47fc2e22f598ea6f58655a581ed4a9c9373e525f3c"),
+    "f(1, 3)": (
+        lambda: f_election(1, 3),
+        "1cee83231f39d7d684dee2a12420a4b1a1682fcf2848f6e48ebce815275b1a5e"),
+    "e(1, 3)": (
+        lambda: e_election(1, 3),
+        "ab6796b2e579993cd968df2573e82f8233012e38f23a3a8197981cfd762531a1"),
+    "e_t(1, 1, 3)": (
+        lambda: e_t_election(1, 1, 3),
+        "74cc745616f56b2ad5ca40aefd48af54322eb2d8ad0e799cad158ff255000698"),
+    "layered(1, 8)": (
+        lambda: layered_election(LayeredParams(1, 8)),
+        "0f0e437ffc795f7d788a79de1495ca83dedd0da25fc429e7a462901d586350fc"),
 }
 
 

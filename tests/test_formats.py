@@ -239,6 +239,19 @@ def test_preflib_errors():
         parse_preflib_categorical("just text\n", {1})
 
 
+def test_preflib_approved_index_is_a_positive_int():
+    # Without category names only the indices bound the groups read:
+    # index 0 read the last group and -1 the second-to-last, a string
+    # raised TypeError and True read category 1.
+    text = "1: {1,2},{3}\n2: {3},{1}\n"
+    for bad in ({0}, {-1}, {1, 0}, {"1"}, {True}, {1.0}):
+        with pytest.raises(FormatError):
+            parse_preflib_categorical(text, bad)
+    assert parse_preflib_categorical(text, {2}).ballot_classes[0].approves == frozenset({2})
+    # An index past a line's groups still contributes nothing.
+    assert parse_preflib_categorical(text, {3}).ballot_classes[0].approves == frozenset()
+
+
 def test_write_csv_renders_fractions():
     rows = [
         {"k": 3, "delta": Fraction(28, 3), "score_float": Fraction(308, 3)},

@@ -128,6 +128,21 @@ def test_config_validation():
     assert ExperimentConfig(source, (2,), epsilon="5/2").epsilon == Fraction(5, 2)
 
 
+def test_config_rejects_bad_source_and_k_values(fig1b):
+    source = SamplerConfig(ImpartialCulture(0.5), 10, 5, 0)
+    # A source of another type would fail in run_experiment with an
+    # AttributeError; "23" would run k = "2" and "3" and write them to
+    # runs.csv, and b"23" k = 50 and 51; a bare int would raise TypeError.
+    for bad in ("ic", None, 3, fig1b.ballot_classes):
+        with pytest.raises(HarnessError):
+            ExperimentConfig(bad, (2,))
+    for bad in ("23", b"23", 5, None, (2, "3"), (2.0,), (True,)):
+        with pytest.raises(HarnessError):
+            ExperimentConfig(source, bad)
+    assert ExperimentConfig(source, [3, 2]).k_values == (3, 2)
+    assert ExperimentConfig(fig1b, range(2, 4)).k_values == (2, 3)
+
+
 def test_seed_schedule():
     assert run_seed(0, 0, 10, 0) == 0
     assert run_seed(3, 2, 10, 4) == 3 * 1_000_003 + 24
