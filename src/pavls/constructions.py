@@ -17,8 +17,9 @@ Four instance families live here, in increasing order of machinery:
   forced through a still-super-polynomial shortcut sequence.
 
 All generators return a :class:`LabeledElection` whose label maps give
-by-name access to candidates and voter groups, and every generator
-finishes with a structural self-check.  ``gain_holds`` and
+by-name access to candidates and voter groups.  One private ``_build``
+freezes each family from its candidate labels, in index order, and a
+stream of (ballot, weight, voter group) entries.  ``gain_holds`` and
 ``min_k_gain_search`` check the layered election's validity inequality
 for one parameter set and scan it over base sizes.
 """
@@ -75,53 +76,26 @@ class LabeledElection:
         return frozenset(map(self.candidate, labels))
 
 
-class _Builder:
-    """Name-keyed candidates, in index order, plus accumulated ballots of
-    candidate indices; freezes into a LabeledElection."""
-
-    def __init__(self, candidates: Iterable[str]):
-        self.candidates = list(candidates)
-        self.index: dict[str, int] = {}
-        for idx, name in enumerate(self.candidates):
-            if self.index.setdefault(name, idx) != idx:
-                raise ConstructionError(f"duplicate candidate label {name!r}")
-        self.classes: list[BallotClass] = []
-        self.groups: dict[str, list[int]] = {}
-
-    def add_class(self, ballot: frozenset[int], weight: int, group: str) -> None:
-        self.groups.setdefault(group, []).append(len(self.classes))
-        self.classes.append(BallotClass(ballot, weight))
-
-    def build(self, k: int, counterpart: Optional[dict[int, int]] = None) -> LabeledElection:
-        labeled = LabeledElection(
-            election=Election(tuple(self.candidates), tuple(self.classes), k),
-            candidate_labels=dict(self.index),
-            voter_groups={g: frozenset(idxs) for g, idxs in self.groups.items()},
-            counterpart=counterpart,
-        )
-        _self_check(labeled)
-        return labeled
-
-
-def _self_check(labeled: LabeledElection) -> None:
-    """Label maps total, groups partition the classes, counterpart is a
-    fixed-point-free involution."""
-    m = labeled.election.m
-    indices = set(labeled.candidate_labels.values())
-    if indices != set(range(m)):
-        raise ConstructionError("candidate label map does not cover all candidates")
-    seen: set[int] = set()
-    for name, members in labeled.voter_groups.items():
-        if members & seen:
-            raise ConstructionError(f"voter group {name!r} overlaps another group")
-        seen |= members
-    if seen != set(range(len(labeled.election.ballot_classes))):
-        raise ConstructionError("voter groups do not partition the ballot classes")
-    if labeled.counterpart is not None:
-        s = labeled.counterpart
-        for v, w in s.items():
-            if w == v or s.get(w) != v:
-                raise ConstructionError("counterpart map is not a fixed-point-free involution")
+def _build(
+    labels: list[str],
+    entries: Iterable[tuple[frozenset[int], int, str]],
+    k: int,
+    counterpart: Optional[dict[int, int]] = None,
+) -> LabeledElection:
+    """Freeze a family: ``labels`` names the candidates in index order,
+    and ``entries`` yields each ballot class as (ballot of candidate
+    indices, weight, voter group), in class order."""
+    classes: list[BallotClass] = []
+    groups: dict[str, list[int]] = {}
+    for ballot, weight, group in entries:
+        groups.setdefault(group, []).append(len(classes))
+        classes.append(BallotClass(ballot, weight))
+    return LabeledElection(
+        election=Election(tuple(labels), tuple(classes), k),
+        candidate_labels={name: i for i, name in enumerate(labels)},
+        voter_groups={g: frozenset(idxs) for g, idxs in groups.items()},
+        counterpart=counterpart,
+    )
 
 
 def _dummies(count: int) -> list[str]:
@@ -173,19 +147,17 @@ def warmup_election(k: int) -> LabeledElection:
     """
     c1, c2, dummies = map(list, _warmup_layout(k))  # see _et_ballots
     t = k // 4
-    b = _Builder(
+    labels = (
         [f"c[1,{i}]" for i in range(1, t + 2)]
         + [f"c[2,{j}]" for j in range(1, k + 1)]
         + _dummies(k - 2)
     )
-    for i in range(1, t + 1):  # c[1,i+1..t+1] and the even c[2,.]
-        b.add_class(frozenset(chain(c1[i:], c2[1::2])), 1, "V1")
-    for i in range(1, t + 1):  # c[1,1..i] and the odd c[2,.]
-        b.add_class(frozenset(chain(c1[:i], c2[0::2])), 1, "V2")
-    for j in range(1, k + 1):
-        b.add_class(frozenset(c2[j - 1:]), t, f"S{j}")
-    b.add_class(frozenset(dummies), (k * k - 2 * k) // 4, "U")
-    return b.build(k)
+    # V1: c[1,i+1..t+1] and the even c[2,.]; V2: c[1,1..i] and the odd c[2,.]
+    v1 = ((frozenset(chain(c1[i:], c2[1::2])), 1, "V1") for i in range(1, t + 1))
+    v2 = ((frozenset(chain(c1[:i], c2[0::2])), 1, "V2") for i in range(1, t + 1))
+    s = ((frozenset(c2[j - 1:]), t, f"S{j}") for j in range(1, k + 1))
+    u = [(frozenset(dummies), (k * k - 2 * k) // 4, "U")]
+    return _build(labels, chain(v1, v2, s, u), k)
 
 
 def warmup_initial_committee(labeled: LabeledElection) -> frozenset[int]:
@@ -230,19 +202,19 @@ def f_election(j: int, k: int) -> LabeledElection:
     unit-weight ballots."""
     _check_depth("f family", j, k)
     ballots = _f_ballots(j, k)
-    b = _Builder(_dummies(k - 1) + ["a", "b"])
     role_index = {"a": k - 1, "b": k}
     half = len(ballots) // 2
-    for idx, (p, role) in enumerate(ballots):
-        group = "N1" if (j > 1 and idx < half) else ("N2" if j > 1 else "N")
-        b.add_class(frozenset((*range(p), role_index[role])), 1, group)
-    return b.build(k)
+    entries = (
+        (frozenset((*range(p), role_index[role])), 1,
+         "N1" if (j > 1 and idx < half) else ("N2" if j > 1 else "N"))
+        for idx, (p, role) in enumerate(ballots)
+    )
+    return _build(_dummies(k - 1) + ["a", "b"], entries, k)
 
 
 def _e_ballots(j: int, k: int) -> list[tuple[int, str, str]]:
     """A role-swapped copy of F(j-1, k-1) with x added, then the copy
     itself with y added; see :func:`_mirror` for the counterparts."""
-    _check_depth("e family", j, k)
     base = _f_ballots(j - 1, k - 1)
     return [(p, _SWAP_AB[role], "x") for p, role in base] + [(p, role, "y") for p, role in base]
 
@@ -263,11 +235,11 @@ def e_election(j: int, k: int) -> LabeledElection:
     and b as its chain."""
     _check_depth("e family", j, k)
     half = 2 ** (j - 1)
-    b = _Builder(_dummies(k - 2) + ["x", "y", "a", "b"])
     ballots = _et_ballots(range(k, k + 2), [k - 2], [k - 1], range(k - 2), j, k)
-    for idx, (ballot, _copy) in enumerate(ballots):
-        b.add_class(ballot, 1, "N1" if idx < half else "N2")
-    return b.build(k, _mirror(half))
+    entries = (
+        (ballot, 1, "N1" if idx < half else "N2") for idx, (ballot, _copy) in enumerate(ballots)
+    )
+    return _build(_dummies(k - 2) + ["x", "y", "a", "b"], entries, k, _mirror(half))
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +278,15 @@ def e_t_election(t: int, j: int, k: int) -> LabeledElection:
     if type(t) is not int or t < 1:
         raise ConstructionError(f"e_t family needs an int t >= 1, got {t!r}")
     _check_depth("e family", j, k)
-    b = _Builder([f"c{q}" for q in range(1, t + 2)] + ["x", "y"] + _dummies(k - 2))
+    labels = [f"c{q}" for q in range(1, t + 2)] + ["x", "y"] + _dummies(k - 2)
     dummies = range(t + 3, t + k + 1)
-    for ballot, copy_index in _et_ballots(range(t + 1), [t + 1], [t + 2], dummies, j, k):
-        b.add_class(ballot, 1, f"N{copy_index}")
-    per_copy = len(b.classes) // t
+    ballots = _et_ballots(range(t + 1), [t + 1], [t + 2], dummies, j, k)
+    entries = ((ballot, 1, f"N{copy_index}") for ballot, copy_index in ballots)
+    per_copy = 2 ** j
     counterpart: dict[int, int] = {}
-    for offset in range(0, len(b.classes), per_copy):
+    for offset in range(0, t * per_copy, per_copy):
         counterpart.update(_mirror(per_copy // 2, offset))
-    return b.build(k, counterpart)
+    return _build(labels, entries, k, counterpart)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +338,14 @@ class LayeredParams:
         return max(1, math.ceil(math.log2(k)))
 
 
+def _check_params(params: object, kind: type = LayeredParams) -> None:
+    # A tuple or None would fail on its first attribute read.
+    if not isinstance(params, kind):
+        raise ConstructionError(f"params must be a {kind.__name__}, got {params!r}")
+
+
 def _check_level(params: LayeredParams, level: int) -> None:
+    _check_params(params)
     if type(level) is not int or not 1 <= level <= params.levels:
         raise ConstructionError(f"level {level!r} not in [1, {params.levels}]")
 
@@ -380,6 +359,7 @@ def _column(params: LayeredParams, level: int) -> range:
 
 def layered_initial_committee(params: LayeredParams) -> frozenset[int]:
     """c[i,t+1] below the top level, c[levels,1] and every dummy."""
+    _check_params(params)
     top = _column(params, params.levels)
     members = {_column(params, i)[-1] for i in range(1, params.levels)}
     return frozenset({*members, top[0], *range(top.stop, top.stop + params.k2)})
@@ -392,17 +372,21 @@ def layered_election(params: LayeredParams) -> LabeledElection:
     The last column's forward flag is identified with the dummy
     candidate d_{k2}, and its backward flag with no candidate.
     """
-    return _layered_builder(params).build(params.k)
+    _check_params(params)
+    return _build(_layered_labels(params), _layered_entries(params), params.k)
 
 
-def _layered_builder(params: LayeredParams) -> _Builder:
-    """The layered election's candidates and classes, not yet frozen."""
-    t, k2, levels = params.t, params.k2, params.levels
+def _layered_labels(params: LayeredParams) -> list[str]:
+    """c[1,1..t+1], ..., c[levels,1..t+1], then d1..d(k2)."""
+    columns = range(1, params.levels + 1)
+    return [f"c[{i},{q}]" for i in columns for q in range(1, params.t + 2)] + _dummies(params.k2)
+
+
+def _layered_entries(params: LayeredParams) -> Iterator[tuple[frozenset[int], int, str]]:
+    """The layered election's ballot classes, in class order."""
+    k2, levels = params.k2, params.levels
     columns = [_column(params, i) for i in range(1, levels + 1)]
     dummies = range(columns[-1].stop, columns[-1].stop + k2)
-    b = _Builder(
-        [f"c[{i},{q}]" for i in range(1, levels + 1) for q in range(1, t + 2)] + _dummies(k2)
-    )
     for i, column in enumerate(columns, start=1):
         if i < levels:  # the next column's odd and even positions
             forward, backward = columns[i][0::2], columns[i][1::2]
@@ -411,8 +395,7 @@ def _layered_builder(params: LayeredParams) -> _Builder:
         for ballot, _copy in _et_ballots(
             column, forward, backward, dummies, params.level_arity(i), k2 + 1
         ):
-            b.add_class(ballot, 1, f"N{i}")
-    return b
+            yield ballot, 1, f"N{i}"
 
 
 @dataclass
@@ -426,6 +409,7 @@ class GainReport:
 
 
 def gain_holds(params: LayeredParams) -> GainReport:
+    _check_params(params)
     kk = params.k2 + 1
     levels: dict[int, bool] = {}
     margins: dict[int, tuple[Fraction, Fraction]] = {}
@@ -571,6 +555,7 @@ def hardened_election(hp: HardenedParams) -> LabeledElection:
     that whole column, one per dummy approving just it.  Any swap across
     columns (or trading a dummy for a column candidate) then loses at
     least gamma and is never improving."""
+    _check_params(hp, HardenedParams)
     params = hp.layered
     report = gain_holds(params)
     if not report.passed:
@@ -579,14 +564,16 @@ def hardened_election(hp: HardenedParams) -> LabeledElection:
             f"{[i for i, ok in report.levels.items() if not ok]}; "
             "hardened instance would not certify"
         )
-    b = _layered_builder(params)
-    weight = hp.blocker_weight
-    for i in range(1, params.levels + 1):
-        b.add_class(frozenset(_column(params, i)), weight, f"V{i}")
-    dummies = _column(params, params.levels).stop
-    for i in range(1, params.k2 + 1):
-        b.add_class(frozenset({dummies + i - 1}), weight, f"V{params.levels + i}")
-    return b.build(params.k)
+    weight, levels = hp.blocker_weight, params.levels
+    column_blockers = (
+        (frozenset(_column(params, i)), weight, f"V{i}") for i in range(1, levels + 1)
+    )
+    dummies = _column(params, levels).stop
+    dummy_blockers = (
+        (frozenset({dummies + i - 1}), weight, f"V{levels + i}") for i in range(1, params.k2 + 1)
+    )
+    entries = chain(_layered_entries(params), column_blockers, dummy_blockers)
+    return _build(_layered_labels(params), entries, params.k)
 
 
 def iter_z_sequence(params: LayeredParams, level: int, parity: int = 1) -> Iterator[Swap]:
@@ -618,8 +605,8 @@ def certify_hardened(hp: HardenedParams, step_cap: Optional[int] = None) -> Hard
     check it executes exactly the predicted shortcut sequence, with
     every observed delta within the gamma bound.  With ``step_cap`` the
     prediction is the sequence's first ``step_cap`` swaps."""
-    params = hp.layered
     labeled = hardened_election(hp)
+    params = hp.layered
     eps = Epsilon.zero_plus(params.k)
     trace = run(
         labeled.election,

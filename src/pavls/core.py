@@ -231,7 +231,15 @@ class Election:
         return lcm_range(self.require_committee_size())
 
 
+def check_election(election: Election) -> None:
+    """Raise :class:`InvalidElectionError` unless ``election`` is an
+    :class:`Election`."""
+    if not isinstance(election, Election):
+        raise InvalidElectionError(f"not an Election: a {type(election).__name__}")
+
+
 def validate_committee(election: Election, committee: Iterable[int]) -> frozenset[int]:
+    check_election(election)
     try:
         members = frozenset(committee)
     except TypeError:  # not iterable, or holds an unhashable member
@@ -265,6 +273,7 @@ class Epsilon:
     @staticmethod
     def threshold(election: Election) -> "Epsilon":
         """n/k^2, the polynomial-runtime threshold."""
+        check_election(election)
         k = election.require_committee_size()
         return Epsilon(Fraction(election.n, k * k))
 
@@ -312,6 +321,7 @@ class Epsilon:
     @staticmethod
     def resolve(selector: Union[str, int, Fraction], election: Election) -> "Epsilon":
         """The threshold a selector (see :meth:`check_selector`) names on ``election``."""
+        check_election(election)
         selector = Epsilon.check_selector(selector)
         if selector == "zero-plus":
             return Epsilon.zero_plus(election.require_committee_size())

@@ -181,7 +181,14 @@ def parse_preflib_categorical(
     ordered category list; a voter's approval set is the union of the
     chosen categories' groups.  The result has no committee size.
     """
-    approved = set(approved_category_indices)
+    if not isinstance(text, str):
+        raise FormatError(f"preference text must be a str, got {type(text).__name__}")
+    try:
+        approved = set(approved_category_indices)
+    except TypeError:  # not iterable, or holds an unhashable index
+        raise FormatError(
+            f"approved categories must be an iterable of ints, got {approved_category_indices!r}"
+        ) from None
     if not approved:
         raise FormatError("need at least one approved category")
     # Exact ints from 1: without category names nothing else bounds an
@@ -284,14 +291,19 @@ def write_csv(rows: Iterable[dict], columns: Sequence[str]) -> str:
     Every row must have exactly the schema's keys.  Fractions are
     written as exact ``num/den`` strings.
     """
+    try:
+        columns = tuple(columns)
+        numbered = enumerate(rows)
+    except TypeError:
+        raise FormatError(f"need iterable rows and columns, got {rows!r}, {columns!r}") from None
+    if not all(isinstance(c, str) for c in columns):
+        raise FormatError(f"column names must be strs, got {columns!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     expected = set(columns)
-    for i, row in enumerate(rows):
-        if set(row) != expected:
-            raise FormatError(
-                f"row {i} keys {sorted(row)} do not match schema {sorted(expected)}"
-            )
+    for i, row in numbered:
+        if not isinstance(row, dict) or set(row) != expected:
+            raise FormatError(f"row {i} {row!r} does not match schema {sorted(expected)}")
         writer.writerow([row[col] for col in columns])
     return buf.getvalue()

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Union
 
-from .core import Election, Epsilon, PavlsError
+from .core import Election, Epsilon, PavlsError, check_election
 from .formats import write_csv
 from .samplers import SamplerConfig, sample
 from .search import RULES, run
@@ -93,6 +94,11 @@ class ExperimentConfig:
             raise HarnessError(f"unknown rule {bad[0]!r}; choose from {RULE_NAMES}")
         if not self.rules:
             raise HarnessError("need at least one pivoting rule")
+        # A repeated rule or k would run its cells twice, and aggregate.csv
+        # would count them as one group of twice the repetitions.
+        for name, values in (("rule", self.rules), ("k", self.k_values)):
+            if len(set(values)) < len(values):
+                raise HarnessError(f"repeated {name} in {values!r}")
 
 
 def _model_tag(source: Union[SamplerConfig, Election]) -> str:
@@ -108,6 +114,7 @@ def _model_tag(source: Union[SamplerConfig, Election]) -> str:
 def select_initial_committee(election: Election) -> frozenset[int]:
     """The k candidates with highest total approval weight; ties broken
     by lowest candidate index."""
+    check_election(election)
     k = election.require_committee_size()
     # A candidate's total is the sum over weight groups of the weight times
     # the number of the group's classes approving it; the search reuses
@@ -140,20 +147,47 @@ class ExperimentResult:
 
 def nearest_rank(sorted_values: Sequence[int], q: Fraction) -> int:
     """q-th quantile as the value at 1-based index ceil(q * N)."""
+    # Exact: a float q can round ceil(q * N) up a rank, and unsorted or
+    # non-int values would give a number that is no quantile.
+    if not isinstance(sorted_values, Sequence) or any(type(v) is not int for v in sorted_values):
+        raise HarnessError(f"quantile needs a sequence of ints, got {sorted_values!r}")
+    if any(a > b for a, b in zip(sorted_values, sorted_values[1:])):
+        raise HarnessError(f"quantile needs sorted values, got {sorted_values!r}")
     if not sorted_values:
         raise HarnessError("quantile of empty list")
+    if type(q) is not int and not isinstance(q, Fraction):
+        raise HarnessError(f"quantile must be an int or a Fraction, got {q!r}")
     if not 0 <= q <= 1:
         raise InvalidQuantileError(f"quantile must be in [0, 1], got {q}")
     idx = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[idx - 1]
 
 
-def aggregate(rows: Sequence[dict]) -> list[dict]:
+def _check_run_row(i: int, row: object) -> None:
+    """Raise :class:`HarnessError` unless ``row`` holds what
+    :func:`aggregate` reads of a runs row: a str model, rule and error,
+    an int k, and int swaps and comparisons if the error is empty."""
+    read = {"model", "k", "rule", "swaps", "comparisons", "error"}
+    ok = isinstance(row, dict) and read <= row.keys()
+    if ok:
+        ints = (row["k"],) if row["error"] else (row["k"], row["swaps"], row["comparisons"])
+        strs = (row["model"], row["rule"], row["error"])
+        ok = all(type(v) is int for v in ints) and all(isinstance(v, str) for v in strs)
+    if not ok:
+        raise HarnessError(f"row {i} is not a runs row: {row!r}")
+
+
+def aggregate(rows: Iterable[dict]) -> list[dict]:
     """Group per (model, k, rule) and compute nearest-rank spread
     statistics over the successful runs.  Groups with no successful run
     are skipped with a warning."""
+    try:
+        numbered = enumerate(rows)
+    except TypeError:
+        raise HarnessError(f"rows must be an iterable of runs rows, got {rows!r}") from None
     groups: dict[tuple, list[dict]] = {}
-    for row in rows:
+    for i, row in numbered:
+        _check_run_row(i, row)
         groups.setdefault((row["model"], row["k"], row["rule"]), []).append(row)
     out = []
     for key, group in groups.items():
@@ -208,6 +242,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Failures are recorded in the row's error column; the experiment
     continues.
     """
+    if not isinstance(config, ExperimentConfig):
+        raise HarnessError(f"not an ExperimentConfig: {config!r}")
     model = _model_tag(config.source)
     rows: list[dict] = []
     for ki, k in enumerate(config.k_values):

@@ -14,10 +14,12 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .core import (
+    DomainError,
     Election,
     Epsilon,
     PavlsError,
     Swap,
+    check_election,
     check_epsilon,
     pav_score,
     validate_committee,
@@ -48,6 +50,10 @@ def brute_force_optimum(
     election: Election, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> OracleReport:
     """Enumerate all size-k committees; return all maximizers."""
+    check_election(election)
+    # An exact int: True would pass for a cap of 1.
+    if type(enumeration_cap) is not int:
+        raise DomainError(f"enumeration cap must be an int, got {enumeration_cap!r}")
     k = election.require_committee_size()
     total = math.comb(election.m, k)
     if total > enumeration_cap:

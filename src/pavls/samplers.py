@@ -131,6 +131,8 @@ class SamplerConfig:
 def sample(config: SamplerConfig) -> Election:
     """Draw the config's election: one class per voter, in sampling
     order and never merged, so voter indices are stable."""
+    if not isinstance(config, SamplerConfig):
+        raise SamplerError(f"not a SamplerConfig: {config!r}")
     ballots = config.model.ballots(random.Random(config.seed), config.n, config.m)
     return Election(
         tuple(f"c{i}" for i in range(1, config.m + 1)),

@@ -205,9 +205,9 @@ def run(
     check_epsilon(epsilon)
     if not isinstance(rule, PivotRule):
         raise InvalidRuleError(f"not a pivot rule: {rule!r}")
+    state = SatisfactionState(election, initial)
     if rule.order is not None:
         check_order(rule.order, election.m)
-    state = SatisfactionState(election, initial)
     members = frozenset(state.committee)
     executed: list[Swap] = []
     deltas: list[Fraction] = []

@@ -11,6 +11,7 @@ from pavls import (
     ConstructionError,
     Epsilon,
     HardenedParams,
+    InvalidElectionError,
     LayeredParams,
     PavlsError,
     Swap,
@@ -35,7 +36,7 @@ from pavls import (
     warmup_sequence,
     x_length,
 )
-from pavls.constructions import _Builder, _column, _f_ballots
+from pavls.constructions import _build, _column, _f_ballots
 from pavls.core import SatisfactionState, apply_swap
 from pavls.search import next_swap_best
 
@@ -160,8 +161,42 @@ def test_atomic_families_need_depth_at_least_one():
 
 
 def test_builder_rejects_duplicate_label():
-    with pytest.raises(ConstructionError, match="duplicate candidate label 'a'"):
-        _Builder(["a", "b", "a"])
+    # The Election refuses repeated names, so the label map cannot lose one.
+    entries = [(frozenset({0}), 1, "N")]
+    with pytest.raises(InvalidElectionError, match="candidate names must be distinct"):
+        _build(["a", "b", "a"], entries, 1)
+
+
+_small_families = st.one_of(
+    st.integers(4, 9).map(warmup_election),
+    st.integers(1, 4).flatmap(lambda j: st.integers(j + 1, 7).map(lambda k: f_election(j, k))),
+    st.integers(1, 4).flatmap(lambda j: st.integers(j + 1, 7).map(lambda k: e_election(j, k))),
+    st.builds(lambda t, j, extra: e_t_election(t, j, j + extra),
+              st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)),
+    st.sampled_from([(1, 3), (1, 8), (2, 6), (2, 9), (3, 9), (3, 10)]).map(
+        lambda p: layered_election(LayeredParams(*p))),
+    st.sampled_from([(1, 3), (1, 6), (2, 21), (2, 22)]).map(
+        lambda p: hardened_election(HardenedParams(LayeredParams(*p)))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_families)
+def test_family_label_maps_groups_and_counterparts(lab):
+    # The label map is a bijection onto the candidates, the voter groups
+    # partition the ballot classes, and a counterpart map is a
+    # fixed-point-free involution on them.
+    e = lab.election
+    labels = lab.candidate_labels
+    assert sorted(labels.values()) == list(range(e.m))
+    assert all(e.candidate_names[i] == name for name, i in labels.items())
+    groups = list(lab.voter_groups.values())
+    assert sum(map(len, groups)) == len(e.ballot_classes)
+    assert frozenset().union(*groups) == set(range(len(e.ballot_classes)))
+    s = lab.counterpart
+    if s is not None:
+        assert set(s) == set(range(len(e.ballot_classes)))
+        assert all(w != v and s[w] == v for v, w in s.items())
 
 
 def test_label_lookups_name_the_unknown_label():
@@ -612,6 +647,9 @@ _JUNK = (-1, 0, 1, 2, 3, 2.0, 2.5, True, False, None, "2", Fraction(5, 2), Fract
 _junk = st.sampled_from(_JUNK)
 _P22 = LayeredParams(2, 22)
 _E25 = e_election(2, 5)
+# Params of the wrong type, including each params class where the other
+# belongs; every election they can build is at most (2, 22).
+_params = _junk | st.sampled_from(((2, 22), [2, 22], "22", _E25, HardenedParams(_P22), _P22))
 _label = st.sampled_from(sorted(_E25.candidate_labels) + ["zz", ""]) | _junk | st.just(["x"])
 # name -> (call, one strategy per argument).  No size exceeds 4, so
 # every election built here is tiny.
@@ -630,6 +668,14 @@ _ENTRY_POINTS = {
     "iter_x_sequence": (lambda *a: list(iter_x_sequence(_P22, *a)), (_junk, _junk)),
     "iter_z_sequence": (lambda *a: list(iter_z_sequence(_P22, *a)), (_junk, _junk)),
     "HardenedParams": (HardenedParams, (st.just(_P22) | _junk, _junk)),
+    "layered_election": (layered_election, (_params,)),
+    "layered_initial_committee": (layered_initial_committee, (_params,)),
+    "gain_holds": (gain_holds, (_params,)),
+    "x_length(params)": (x_length, (_params, _junk)),
+    "iter_x_sequence(params)": (lambda *a: list(iter_x_sequence(*a)), (_params, _junk, _junk)),
+    "iter_z_sequence(params)": (lambda *a: list(iter_z_sequence(*a)), (_params, _junk, _junk)),
+    "hardened_election": (hardened_election, (_params,)),
+    "certify_hardened": (lambda hp: certify_hardened(hp, step_cap=2), (_params,)),
     "candidate": (_E25.candidate, (_label,)),
     "committee": (lambda labels: _E25.committee(*labels), (st.lists(_label, max_size=3),)),
 }

@@ -18,12 +18,14 @@ from pavls import (
     LexicographicBetterResponse,
     PavlsError,
     Swap,
+    brute_force_optimum,
     delta,
     harmonic,
     inverse_sequence,
     is_locally_optimal,
     lcm_range,
     pav_score,
+    select_initial_committee,
     validate_committee,
     validate_sequence,
 )
@@ -628,3 +630,30 @@ def test_engine_entry_points_raise_only_pavls_errors(data):
     if name == "delta":  # a returned gain is the true one
         a, b = args[1:]
         assert result == pav_score(_E5, (committee - {a}) | {b}) - pav_score(_E5, committee)
+
+
+# Each call read an attribute of a non-Election first and raised a bare
+# AttributeError; the lex order makes run read election.m.
+_ON_ELECTION = {
+    "run": lambda e: run(e, (0, 1), Epsilon.zero_plus(2), RULES["best"]),
+    "run(order)": lambda e: run(e, (0, 1), Epsilon.zero_plus(2),
+                                LexicographicBetterResponse((4, 3, 2, 1, 0))),
+    "validate_sequence": lambda e: validate_sequence(e, (0, 1), [(0, 2)], Epsilon.zero_plus(2)),
+    "SatisfactionState": lambda e: SatisfactionState(e, (0, 1)),
+    "pav_score": lambda e: pav_score(e, (0, 1)),
+    "validate_committee": lambda e: validate_committee(e, (0, 1)),
+    "is_locally_optimal": lambda e: is_locally_optimal(e, (0, 1), Epsilon.zero_plus(2)),
+    "brute_force_optimum": brute_force_optimum,
+    "select_initial_committee": select_initial_committee,
+    "Epsilon.threshold": Epsilon.threshold,
+    "Epsilon.resolve": lambda e: Epsilon.resolve("zero-plus", e),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ON_ELECTION))
+def test_non_election_is_refused(name):
+    call = _ON_ELECTION[name]
+    for junk in (None, "e", _E5.ballot_classes, SatisfactionState(_E5, (0, 1))):
+        with pytest.raises(InvalidElectionError, match="not an Election"):
+            call(junk)
+    call(_E5)

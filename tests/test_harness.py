@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavls import (
     BallotClass,
@@ -9,10 +11,15 @@ from pavls import (
     ExperimentConfig,
     ImpartialCulture,
     InvalidEpsilonError,
+    PavlsError,
     SamplerConfig,
     aggregate,
+    brute_force_optimum,
+    parse_preflib_categorical,
     run_experiment,
+    sample,
     select_initial_committee,
+    write_csv,
 )
 from pavls.harness import HarnessError, InvalidQuantileError, nearest_rank, run_seed
 
@@ -143,6 +150,16 @@ def test_config_rejects_bad_source_and_k_values(fig1b):
     assert ExperimentConfig(fig1b, range(2, 4)).k_values == (2, 3)
 
 
+def test_config_refuses_repeated_rule_or_k():
+    # A repeated rule or k ran its cells twice, and aggregate.csv counted
+    # them as one group of twice the repetitions.
+    source = SamplerConfig(ImpartialCulture(0.5), 20, 6, 0)
+    with pytest.raises(HarnessError, match="repeated rule"):
+        ExperimentConfig(source, (2,), repetitions=2, rules=("best", "best"))
+    with pytest.raises(HarnessError, match="repeated k"):
+        ExperimentConfig(source, (2, 3, 2), repetitions=2)
+
+
 def test_seed_schedule():
     assert run_seed(0, 0, 10, 0) == 0
     assert run_seed(3, 2, 10, 4) == 3 * 1_000_003 + 24
@@ -211,3 +228,87 @@ def test_experiment_records_failures():
         result = run_experiment(config)
     assert all(row["error"] for row in result.runs)
     assert result.aggregates == []
+
+
+# ---------------------------------------------------------------------------
+# Sampler, format, harness and oracle entry points under junk arguments
+
+_E4 = Election(("a", "b", "c", "d"),
+               (BallotClass(frozenset({0, 1}), 2), BallotClass(frozenset({2}), 1)), 2)
+_ROW = {"model": "m", "k": 2, "rule": "best", "rep": 0, "seed": 0,
+        "swaps": 1, "comparisons": 4, "error": ""}
+# Each call raised a bare TypeError, AttributeError or KeyError, or
+# returned a wrong value: the oracle read a cap of True as 1, and
+# nearest_rank rounded a float rank or read unsorted values.
+_BAD_CALLS = {
+    "preflib bytes text": lambda: parse_preflib_categorical(b"1: {1},{2}", [1]),
+    "preflib None text": lambda: parse_preflib_categorical(None, [1]),
+    "preflib int categories": lambda: parse_preflib_categorical("1: {1},{2}", 5),
+    "preflib None categories": lambda: parse_preflib_categorical("1: {1},{2}", None),
+    "oracle str cap": lambda: brute_force_optimum(_E4, "x"),
+    "oracle bool cap": lambda: brute_force_optimum(_E4.with_committee_size(4), True),
+    "sample None": lambda: sample(None),
+    "run_experiment None": lambda: run_experiment(None),
+    "aggregate missing keys": lambda: aggregate([{"x": 1}]),
+    "aggregate None": lambda: aggregate(None),
+    "write_csv None rows": lambda: write_csv(None, ["a"]),
+    "nearest_rank str quantile": lambda: nearest_rank([1, 2, 3], "x"),
+    # 0.28 * 25 rounds up to rank 8 (value 7); the exact rank is 7 (value 6).
+    "nearest_rank float quantile": lambda: nearest_rank(list(range(25)), 0.28),
+    "nearest_rank unsorted": lambda: nearest_rank([3, 1, 2], Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CALLS))
+def test_bad_input_raises_pavls_error(name):
+    with pytest.raises(PavlsError):
+        _BAD_CALLS[name]()
+
+
+_JUNK = (-1, 0, 1, 2, 2.0, 0.5, True, None, "2", "", b"1: {1}", Fraction(1, 2), (2,), [1],
+         {"a": 1})
+_junk = st.sampled_from(_JUNK)
+_preflib_line = st.sampled_from((
+    "# NUMBER ALTERNATIVES: 3", "# NUMBER ALTERNATIVES: x", "# CATEGORY NAME 1: yes",
+    "# CATEGORY NAME 2: no", "# CATEGORY NAME x: no", "# ALTERNATIVE NAME 2: bee",
+    "# TITLE: t", "# FROB: 1", "#", "", "1: {1,2},{3}", "2: 1,{}", "1: {4}", "1: {0}",
+    "0: {1}", "x: {1}", "1: {a}", "1: {1", "1: 1,2,3", "just text",
+))
+_texts = st.lists(_preflib_line, max_size=5).map("\n".join) | st.text(max_size=12) | _junk
+_row = st.fixed_dictionaries({key: st.just(value) | _junk for key, value in _ROW.items()})
+_tiny_config = st.builds(
+    lambda seed, rules: ExperimentConfig(SamplerConfig(ImpartialCulture(0.5), 6, 4, seed),
+                                         (2,), rules=rules),
+    st.integers(0, 3), st.sampled_from((("best",), ("lex-better", "best"))))
+# name -> (call, one strategy per argument).  Every election built is tiny.
+_INPUT_ENTRY_POINTS = {
+    "sample": (sample, (st.builds(SamplerConfig, st.just(ImpartialCulture(0.5)), st.just(5),
+                                  st.just(4), st.integers(0, 9)) | _junk,)),
+    "parse_preflib_categorical": (
+        parse_preflib_categorical,
+        (_texts, st.lists(st.integers(-1, 3) | _junk, max_size=3) | _junk)),
+    "write_csv": (write_csv, (
+        st.lists(st.dictionaries(st.sampled_from(("a", "b", 1)), _junk, max_size=3) | _junk,
+                 max_size=3) | _junk,
+        st.sampled_from((("a", "b"), ["a"], ())) | st.lists(_junk, max_size=2) | _junk)),
+    "run_experiment": (run_experiment, (_tiny_config | _junk,)),
+    "aggregate": (aggregate, (st.lists(_row | _junk, max_size=4) | _junk,)),
+    "nearest_rank": (nearest_rank, (
+        st.lists(st.integers(0, 9), max_size=4).map(sorted) | st.lists(_junk, max_size=3) | _junk,
+        st.fractions(-1, 2, max_denominator=4) | _junk)),
+    "brute_force_optimum": (brute_force_optimum, (st.just(_E4) | _junk,
+                                                   st.integers(-1, 8) | _junk)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_input_entry_points_raise_only_pavls_errors(data):
+    # Every call either returns or raises a PavlsError; any other
+    # exception fails the test.
+    call, strategies = _INPUT_ENTRY_POINTS[data.draw(st.sampled_from(sorted(_INPUT_ENTRY_POINTS)))]
+    args = data.draw(st.tuples(*strategies))
+    try:
+        call(*args)
+    except PavlsError:
+        pass
