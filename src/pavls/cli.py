@@ -209,6 +209,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.election and args.model:
+        raise PavlsError("experiment takes --election or --model, not both")
     if args.election:
         source = _load_election(args)
     elif args.model:

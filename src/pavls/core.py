@@ -14,6 +14,7 @@ without changing any score.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -241,19 +242,24 @@ def check_election(election: Election) -> None:
 def validate_committee(election: Election, committee: Iterable[int]) -> frozenset[int]:
     check_election(election)
     try:
-        members = frozenset(committee)
+        listed = list(committee)
+        members = frozenset(listed)
     except TypeError:  # not iterable, or holds an unhashable member
         raise InvalidCommitteeError(
             f"committee must be an iterable of ints, got {committee!r}"
         ) from None
     k = election.require_committee_size()
-    if len(members) != k:
-        raise InvalidCommitteeError(f"committee has {len(members)} members, expected {k}")
     # Members are exact ints: a float or a string would fail deep in the
     # engine, and True would pass for candidate 1.
-    bad = [c for c in members if type(c) is not int]
+    bad = [c for c in listed if type(c) is not int]
     if bad:
         raise InvalidCommitteeError(f"committee members must be ints, got {bad[0]!r}")
+    # A repeat would vanish in the set: [0, 0, 1] would pass for {0, 1}.
+    if len(members) < len(listed):
+        repeated = next(c for c, count in Counter(listed).items() if count > 1)
+        raise InvalidCommitteeError(f"committee lists member {repeated} twice")
+    if len(members) != k:
+        raise InvalidCommitteeError(f"committee has {len(members)} members, expected {k}")
     bad = [c for c in members if not 0 <= c < election.m]
     if bad:
         raise InvalidCommitteeError(f"committee member out of range: {bad[0]}")

@@ -19,7 +19,7 @@ import csv
 import io
 import re
 import warnings
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .core import BallotClass, Election, PavlsError
 
@@ -62,6 +62,27 @@ def serialize_native(election: Election) -> str:
     return "\n".join(lines) + "\n"
 
 
+_Body = TypeVar("_Body")
+
+
+def _weighted(
+    line: str, lineno: int, read_body: Callable[[str, int], _Body]
+) -> tuple[int, _Body]:
+    """Read ``<weight>: <body>``, the one form of a native ``ballot``
+    line and a PrefLib data line: a positive int weight, then whatever
+    ``read_body(body, lineno)`` returns."""
+    head, sep, body = line.partition(":")
+    if not sep:
+        raise FormatError(f"line needs '<weight>:', got {line!r}", line=lineno)
+    try:
+        weight = int(head)
+    except ValueError:
+        raise FormatError(f"bad weight {head.strip()!r}", line=lineno)
+    if weight < 1:
+        raise FormatError(f"weight must be positive, got {weight}", line=lineno)
+    return weight, read_body(body, lineno)
+
+
 def parse_native(text: str) -> Election:
     if not isinstance(text, str):
         raise FormatError(f"native text must be a str, got {type(text).__name__}")
@@ -79,6 +100,22 @@ def parse_native(text: str) -> Election:
         raise FormatError(f"unsupported format version {version}", line=1)
     if m < 1 or k < 0 or k > m:
         raise FormatError(f"bad sizes m={m}, k={k}", line=1)
+
+    def read_ballot(body: str, lineno: int) -> frozenset[int]:
+        try:
+            entries = list(map(int, body.split()))
+        except ValueError:
+            raise FormatError("non-integer ballot entry", line=lineno)
+        # Whole-line tests in C; the first bad entry is named only on
+        # failure, and a range error goes before an order error.
+        if entries and (min(entries) < 0 or max(entries) >= m):
+            bad = next(c for c in entries if not 0 <= c < m)
+            raise FormatError(f"ballot entry {bad} out of range [0, {m})", line=lineno)
+        # Sorted without a repeat is strictly increasing.
+        ballot = frozenset(entries)
+        if len(ballot) < len(entries) or entries != sorted(entries):
+            raise FormatError("ballot entries must be strictly increasing", line=lineno)
+        return ballot
 
     # Keyed by index: a header declaring a huge m allocates nothing.
     names: dict[int, str] = {}
@@ -101,28 +138,7 @@ def parse_native(text: str) -> Election:
                 raise FormatError(f"duplicate candidate index {idx}", line=lineno)
             names[idx] = parts[2]
         elif line.startswith("ballot "):
-            head, sep, tail = line[len("ballot "):].partition(":")
-            if not sep:
-                raise FormatError("ballot line needs a ':' after the weight", line=lineno)
-            try:
-                weight = int(head.strip())
-            except ValueError:
-                raise FormatError(f"bad ballot weight {head.strip()!r}", line=lineno)
-            if weight < 1:
-                raise FormatError(f"ballot weight must be positive, got {weight}", line=lineno)
-            try:
-                entries = list(map(int, tail.split()))
-            except ValueError:
-                raise FormatError("non-integer ballot entry", line=lineno)
-            # Whole-line tests in C; the first bad entry is named only on
-            # failure, and a range error goes before an order error.
-            if entries and (min(entries) < 0 or max(entries) >= m):
-                bad = next(c for c in entries if not 0 <= c < m)
-                raise FormatError(f"ballot entry {bad} out of range [0, {m})", line=lineno)
-            # Sorted without a repeat is strictly increasing.
-            ballot = frozenset(entries)
-            if len(ballot) < len(entries) or entries != sorted(entries):
-                raise FormatError("ballot entries must be strictly increasing", line=lineno)
+            weight, ballot = _weighted(line[len("ballot "):], lineno, read_ballot)
             classes.append(BallotClass(ballot, weight))
         else:
             raise FormatError(f"unrecognized line {line!r}", line=lineno)
@@ -144,32 +160,27 @@ _KNOWN_METADATA = {
     "NUMBER ALTERNATIVES", "NUMBER VOTERS", "NUMBER UNIQUE PREFERENCES",
     "NUMBER CATEGORIES",
 }
-_GROUP_RE = re.compile(r"\{[^{}]*\}|[^,{}\s]+")
+# A group is a braced list or a bare token; groups are separated by a
+# run, maybe empty, of commas, spaces and tabs, and no comma leads.  The
+# lookahead keeps a bare token whole: without it a long line that fails
+# would be retried at every way of splitting its bare tokens, exponential
+# in their length, instead of once.
+_GROUP = r"\{[^{}]*\}|[^,{}\s]+(?![^,{}\s])"
+_GROUP_RE = re.compile(_GROUP)
+_GROUP_LIST_RE = re.compile(rf"(?:(?:{_GROUP})[, \t]*)*")
 
 
 def _split_groups(body: str, lineno: int) -> list[frozenset[int]]:
-    groups: list[frozenset[int]] = []
-    pos = 0
     body = body.strip()
-    while pos < len(body):
-        match = _GROUP_RE.match(body, pos)
-        if not match:
-            raise FormatError(f"malformed group list {body!r}", line=lineno)
-        token = match.group()
-        try:
-            if token.startswith("{"):
-                inner = token[1:-1].strip()
-                groups.append(
-                    frozenset(int(t) for t in inner.split(",")) if inner else frozenset()
-                )
-            else:
-                groups.append(frozenset({int(token)}))
-        except ValueError:
-            raise FormatError(f"non-integer alternative in group {token!r}", line=lineno)
-        pos = match.end()
-        while pos < len(body) and body[pos] in ", \t":
-            pos += 1
-    return groups
+    if not _GROUP_LIST_RE.fullmatch(body):
+        raise FormatError(f"malformed group list {body!r}", line=lineno)
+    # A bare token holds no brace and a braced one none inside, so
+    # stripping braces leaves the comma-separated alternatives.
+    inners = [token.strip("{}") for token in _GROUP_RE.findall(body)]
+    try:
+        return [frozenset(map(int, i.split(","))) if i.strip() else frozenset() for i in inners]
+    except ValueError:
+        raise FormatError(f"non-integer alternative in group list {body!r}", line=lineno)
 
 
 def parse_preflib_categorical(
@@ -180,6 +191,12 @@ def parse_preflib_categorical(
     ``approved_category_indices`` are 1-based positions in the file's
     ordered category list; a voter's approval set is the union of the
     chosen categories' groups.  The result has no committee size.
+
+    The alternatives are 1..m, where m is the declared ``NUMBER
+    ALTERNATIVES`` or else the largest alternative in any group.  Every
+    alternative in every group, approved or not, must lie in 1..m, and
+    each of 1..m must appear in some group or on an ``ALTERNATIVE NAME``
+    line, so the file's own length bounds m.
     """
     if not isinstance(text, str):
         raise FormatError(f"preference text must be a str, got {type(text).__name__}")
@@ -199,46 +216,31 @@ def parse_preflib_categorical(
 
     categories: dict[int, str] = {}
     alt_names: dict[int, str] = {}
-    num_alternatives: Optional[int] = None
+    indexed = {"CATEGORY NAME ": categories, "ALTERNATIVE NAME ": alt_names}
+    declared: Optional[int] = None
     ballots: list[tuple[int, list[frozenset[int]]]] = []
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        if line and not line.startswith("#"):
+            ballots.append(_weighted(line, lineno, _split_groups))
             continue
-        if line.startswith("#"):
-            key, sep, value = line[1:].partition(":")
-            key, value = key.strip(), value.strip()
-            if not sep:
-                continue
-            if key == "NUMBER ALTERNATIVES":
-                try:
-                    num_alternatives = int(value)
-                except ValueError:
-                    raise FormatError(f"bad alternative count {value!r}", line=lineno)
-            elif key.startswith("CATEGORY NAME "):
-                try:
-                    categories[int(key[len("CATEGORY NAME "):])] = value
-                except ValueError:
-                    raise FormatError(f"bad category key {key!r}", line=lineno)
-            elif key.startswith("ALTERNATIVE NAME "):
-                try:
-                    alt_names[int(key[len("ALTERNATIVE NAME "):])] = value
-                except ValueError:
-                    raise FormatError(f"bad alternative key {key!r}", line=lineno)
-            elif key not in _KNOWN_METADATA:
-                warnings.warn(f"line {lineno}: unknown metadata key {key!r}")
+        key, sep, value = line[1:].partition(":")
+        if not sep:  # a blank line, or a comment without a key
             continue
-        head, sep, tail = line.partition(":")
-        if not sep:
-            raise FormatError(f"data line needs '<count>:', got {line!r}", line=lineno)
-        try:
-            count = int(head.strip())
-        except ValueError:
-            raise FormatError(f"bad ballot count {head.strip()!r}", line=lineno)
-        if count < 1:
-            raise FormatError(f"ballot count must be positive, got {count}", line=lineno)
-        ballots.append((count, _split_groups(tail, lineno)))
+        key, value = key.strip(), value.strip()
+        prefix = next((p for p in indexed if key.startswith(p)), None)
+        if prefix is not None:
+            try:
+                indexed[prefix][int(key[len(prefix):])] = value
+            except ValueError:
+                raise FormatError(f"bad index in key {key!r}", line=lineno)
+        elif key == "NUMBER ALTERNATIVES":
+            try:
+                declared = int(value)
+            except ValueError:
+                raise FormatError(f"bad alternative count {value!r}", line=lineno)
+        elif key not in _KNOWN_METADATA:
+            warnings.warn(f"line {lineno}: unknown metadata key {key!r}")
 
     if not ballots:
         raise FormatError("no data lines")
@@ -249,36 +251,27 @@ def parse_preflib_categorical(
         bad = approved - set(categories)
         if bad:
             raise FormatError(f"unknown approved category {sorted(bad)[0]}")
+        if any(len(groups) != n_cat for _, groups in ballots):
+            raise FormatError(f"a data line does not have the {n_cat} declared categories")
 
-    seen_max = max(
-        (alt for _, groups in ballots for group in groups for alt in group), default=0
+    alternatives = {alt for _, groups in ballots for group in groups for alt in group}
+    m = max(alternatives, default=0) if declared is None else declared
+    outside = sorted(alt for alt in alternatives if not 1 <= alt <= m)
+    if outside or m < 1:
+        raise FormatError(f"alternatives must lie in 1..{m} with m >= 1, got {outside[:3]}")
+    missing = next((i for i in range(1, m + 1) if i not in alternatives and i not in alt_names), 0)
+    if missing:
+        raise FormatError(f"alternative {missing} never mentioned")
+
+    classes = tuple(
+        BallotClass(
+            frozenset(alt - 1 for idx in approved if idx <= len(groups) for alt in groups[idx - 1]),
+            count,
+        )
+        for count, groups in ballots
     )
-    if num_alternatives is None:
-        num_alternatives = seen_max
-    elif seen_max > num_alternatives:
-        raise FormatError(
-            f"alternative {seen_max} exceeds declared count {num_alternatives}"
-        )
-    if num_alternatives < 1:
-        raise FormatError("no alternatives in file")
-
-    classes = []
-    for count, groups in ballots:
-        if categories and len(groups) != len(categories):
-            raise FormatError(
-                f"data line has {len(groups)} groups but file declares "
-                f"{len(categories)} categories"
-            )
-        chosen = frozenset(
-            alt for idx in approved if idx <= len(groups) for alt in groups[idx - 1]
-        )
-        for alt in chosen:
-            if not 1 <= alt <= num_alternatives:
-                raise FormatError(f"alternative {alt} out of range [1, {num_alternatives}]")
-        classes.append(BallotClass(frozenset(alt - 1 for alt in chosen), count))
-
-    names = tuple(alt_names.get(i, f"a{i}") for i in range(1, num_alternatives + 1))
-    return Election(names, tuple(classes), None)
+    names = tuple(alt_names.get(i, f"a{i}") for i in range(1, m + 1))
+    return Election(names, classes, None)
 
 
 # ---------------------------------------------------------------------------

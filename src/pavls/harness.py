@@ -49,7 +49,8 @@ SEED_STRIDE = 1_000_003
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Source is either a sampler config (resampled per repetition with
-    the scheduled seed) or a fixed election (reused as-is)."""
+    the scheduled seed) or a fixed election (run once per cell, so with
+    one repetition)."""
 
     source: Union[SamplerConfig, Election]
     k_values: tuple[int, ...]
@@ -81,6 +82,12 @@ class ExperimentConfig:
         # float would fail deep inside the seed schedule.
         if type(self.repetitions) is not int or self.repetitions < 1:
             raise HarnessError(f"repetitions must be an int >= 1, got {self.repetitions!r}")
+        # A fixed election has no randomness, and both the initial committee
+        # and the rules are deterministic: every repetition would be the same.
+        if isinstance(self.source, Election) and self.repetitions > 1:
+            raise HarnessError(
+                f"a fixed election runs once per (k, rule), got repetitions={self.repetitions}"
+            )
         if type(self.base_seed) is not int:
             raise HarnessError(f"base seed must be an int, got {self.base_seed!r}")
         cells = len(self.k_values) * self.repetitions

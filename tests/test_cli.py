@@ -299,6 +299,33 @@ def test_experiment_without_source_exit_code(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_experiment_input_errors_exit_code(tmp_path, capsys, fig1b):
+    # --model was ignored next to --election, and repetitions on a fixed
+    # election wrote identical rows; both exited 0.
+    e_path, out_dir = tmp_path / "fig1b.pavls", tmp_path / "exp"
+    e_path.write_text(serialize_native(fig1b))
+    base = ["experiment", "--election", str(e_path), "--k-values", "2,3", "--out", str(out_dir)]
+    _assert_input_error(capsys, base + ["--model", "ic"], "not both")
+    _assert_input_error(capsys, base + ["--reps", "3"], "fixed election")
+    assert not out_dir.exists()
+
+
+def test_repeated_committee_member_exit_code(small_election_path, capsys):
+    # The repeat vanished: {0, 1} was checked and a witness printed (exit 1).
+    _assert_input_error(
+        capsys, ["oracle", "--mode", "local-opt", "--election", small_election_path,
+                 "--committee", "0,0,1", "-k", "2"], "lists member 0 twice")
+
+
+def test_preflib_unmentioned_alternatives_exit_code(tmp_path, capsys):
+    # Parsed into a 1,000,000-candidate election.
+    cat = tmp_path / "huge.cat"
+    cat.write_text("# NUMBER ALTERNATIVES: 1000000\n1: {1}\n")
+    _assert_input_error(
+        capsys, ["run", "--election", str(cat), "--format", "preflib-cat", "-k", "1"],
+        "alternative 2 never mentioned")
+
+
 def test_construct_input_errors_exit_code(tmp_path, capsys):
     for gamma in ("abc", "1/0"):
         _assert_input_error(

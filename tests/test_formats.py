@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -250,6 +253,160 @@ def test_preflib_approved_index_is_a_positive_int():
     assert parse_preflib_categorical(text, {2}).ballot_classes[0].approves == frozenset({2})
     # An index past a line's groups still contributes nothing.
     assert parse_preflib_categorical(text, {3}).ballot_classes[0].approves == frozenset()
+
+
+def _e(names, *classes):
+    """The expected election: names a1..a<names> for an int, and one
+    (0-based approvals, weight) pair per data line."""
+    if isinstance(names, int):
+        names = tuple(f"a{i}" for i in range(1, names + 1))
+    return Election(names, tuple(BallotClass(frozenset(a), w) for a, w in classes), None)
+
+
+def _refused(line):
+    return ("refused", line)
+
+
+# Each spelling with the approved categories and its result: the
+# election, or a FormatError and its line.  The results were recorded
+# from the earlier position-by-position group reader, so a change in any
+# of them changes what the format accepts.  Every alternative 1..m is
+# mentioned, so the mention rule refuses none of them.
+_PREFLIB_SPELLINGS = [
+    # group separators
+    ("1: {1},{2}", {1}, _e(2, ({0}, 1))),
+    ("1: {1} {2}", {2}, _e(2, ({1}, 1))),
+    ("1: {1}\t{2}", {2}, _e(2, ({1}, 1))),
+    ("1: {1}, {2}", {1, 2}, _e(2, ({0, 1}, 1))),
+    ("1: {1} ,\t{2}", {2}, _e(2, ({1}, 1))),
+    ("1: {1}{2}", {2}, _e(2, ({1}, 1))),
+    ("1: {1},,{2}", {2}, _e(2, ({1}, 1))),
+    ("1: {1},{2},", {2}, _e(2, ({1}, 1))),
+    ("1: {1};{2}", {1}, _refused(1)),
+    ("1: {1}\xa0{2}", {1}, _refused(1)),
+    ("1: {1}|{2}", {1}, _refused(1)),
+    # blanks
+    ("1:    {1} , {2}   ", {1}, _e(2, ({0}, 1))),
+    ("  3 :{1,2},{3}", {1}, _e(3, ({0, 1}, 3))),
+    ("1: { 1 , 2 }", {1}, _e(2, ({0, 1}, 1))),
+    ("1:\n1: {1}", {1}, _e(1, (set(), 1), ({0}, 1))),
+    ("\n\t\n1: {1}\n   \n2: {1}\n", {1}, _e(1, ({0}, 1), ({0}, 2))),
+    ("1:{1}", {1}, _e(1, ({0}, 1))),
+    # braces
+    ("1: {},{1}", {1, 2}, _e(1, ({0}, 1))),
+    ("1: { },{1}", {1}, _e(1, (set(), 1))),
+    ("1: {\t},{1}", {1}, _e(1, (set(), 1))),
+    ("1: {1,},{2}", {1}, _refused(1)),
+    ("1: {,1}", {1}, _refused(1)),
+    ("1: {1,,2}", {1}, _refused(1)),
+    ("1: {1 2}", {1}, _refused(1)),
+    ("1: {+1,2_0}," + ",".join(f"{{{i}}}" for i in range(2, 20)), {1}, _e(20, ({0, 19}, 1))),
+    # bare tokens
+    ("2: 1,{2},{3}", {1}, _e(3, ({0}, 2))),
+    ("1: 1,2", {2}, _e(2, ({1}, 1))),
+    ("1: 1 2", {1}, _e(2, ({0}, 1))),
+    ("1: 1{2}", {2}, _e(2, ({1}, 1))),
+    ("1: {1}2", {2}, _e(2, ({1}, 1))),
+    ("1: +1,{2}", {1}, _e(2, ({0}, 1))),
+    ("1: a,{1}", {2}, _refused(1)),
+    ("1: -1", {1}, _refused(None)),
+    ("1: 1x", {1}, _refused(1)),
+    # leading comma
+    ("1: ,{1}", {1}, _refused(1)),
+    ("1: , {1}", {1}, _refused(1)),
+    ("1: ,1", {1}, _refused(1)),
+    # nested braces
+    ("1: {{1}}", {1}, _refused(1)),
+    ("1: {1,{2}}", {1}, _refused(1)),
+    ("1: {1}}", {1}, _refused(1)),
+    ("1: {1", {1}, _refused(1)),
+    ("1: 1}", {1}, _refused(1)),
+    ("1: }", {1}, _refused(1)),
+    # weights
+    ("+2: {1}", {1}, _e(1, ({0}, 2))),
+    (" 2 : {1}", {1}, _e(1, ({0}, 2))),
+    ("1_000: {1}", {1}, _e(1, ({0}, 1000))),
+    ("0: {1}", {1}, _refused(1)),
+    ("-1: {1}", {1}, _refused(1)),
+    ("x: {1}", {1}, _refused(1)),
+    ("2.0: {1}", {1}, _refused(1)),
+    (": {1}", {1}, _refused(1)),
+    ("{1}", {1}, _refused(1)),
+    # metadata before and after the data lines
+    ("# NUMBER ALTERNATIVES: 2\n1: {1},{2}\n# ALTERNATIVE NAME 1: x\n# ALTERNATIVE NAME 2: y",
+     {1}, _e(("x", "y"), ({0}, 1))),
+    ("1: {1},{2}\n# CATEGORY NAME 1: yes\n# CATEGORY NAME 2: no", {2}, _e(2, ({1}, 1))),
+    ("# CATEGORY NAME 2: no\n1: {1},{2}\n# CATEGORY NAME 1: yes", {1}, _e(2, ({0}, 1))),
+    ("# CATEGORY NAME 1: yes\n# CATEGORY NAME 2: no\n1: {1,2}", {1}, _refused(None)),
+    ("# CATEGORY NAME 1: yes\n# CATEGORY NAME 3: no\n1: {1},{2}", {1}, _refused(None)),
+    ("# CATEGORY NAME 1: yes\n1: {1},{2}", {2}, _refused(None)),
+    ("# CATEGORY NAME  1: yes\n1: {1}", {1}, _e(1, ({0}, 1))),
+    ("# CATEGORY NAME +1: yes\n1: {1}", {1}, _e(1, ({0}, 1))),
+    ("# CATEGORY NAME x: no\n1: {1}", {1}, _refused(1)),
+    ("# ALTERNATIVE NAME x: no\n1: {1}", {1}, _refused(1)),
+    ("1: {1}\n# ALTERNATIVE NAME 1: only", {1}, _e(("only",), ({0}, 1))),
+    ("1: {1}\n# ALTERNATIVE NAME 3: c\n# ALTERNATIVE NAME 0: z", {1}, _e(1, ({0}, 1))),
+    ("# ALTERNATIVE NAME 1:\n1: {1}", {1}, _e(("",), ({0}, 1))),
+    ("# NUMBER ALTERNATIVES: 2\n1: {1}\n# ALTERNATIVE NAME 2: b", {1}, _e(("a1", "b"), ({0}, 1))),
+    ("# NUMBER ALTERNATIVES: 2\n1: {1,2}", {1}, _e(2, ({0, 1}, 1))),
+    ("# NUMBER ALTERNATIVES: 1\n1: {1,2}", {1}, _refused(None)),
+    ("# NUMBER ALTERNATIVES: x\n1: {1}", {1}, _refused(1)),
+    ("# NUMBER ALTERNATIVES: 0\n1: {}", {1}, _refused(None)),
+    ("# NUMBER ALTERNATIVES: 1", {1}, _refused(None)),
+    ("# just a comment\n#\n1: {1}\n# trailing comment", {1}, _e(1, ({0}, 1))),
+    ("# TITLE: t\n# NUMBER VOTERS: 3\n1: {1},{2}\n2: {2},{1}", {1}, _e(2, ({0}, 1), ({1}, 2))),
+    ("1: {}", {1}, _refused(None)),
+    ("1: {0}", {1}, _refused(None)),
+    ("", {1}, _refused(None)),
+    ("just text", {1}, _refused(1)),
+]
+
+
+@pytest.mark.parametrize("text,approved,expected", _PREFLIB_SPELLINGS)
+def test_preflib_spellings_pinned(text, approved, expected):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = parse_preflib_categorical(text, approved)
+    except FormatError as exc:
+        result = _refused(exc.line)
+    assert result == expected
+
+
+# Each parsed into a 1,000,000-candidate election (6.7 s and a 170 MiB
+# peak), or into one whose alternative 3 appears nowhere in the file.
+@pytest.mark.parametrize("text,missing", [
+    ("# NUMBER ALTERNATIVES: 1000000\n1: {1}\n", 2),
+    ("1: {1000000}\n", 1),
+    ("# NUMBER ALTERNATIVES: 3\n1: {1},{2}\n", 3),
+])
+def test_preflib_unmentioned_alternative_is_refused(text, missing):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"alternative {missing} never mentioned"):
+            parse_preflib_categorical(text, {1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("text", ["1: {1},{0}", "1: {1,2},{-5}", "1: {1},{2},3,{-1}"])
+def test_preflib_unapproved_alternative_out_of_range(text):
+    # Parsed when the bad alternative was in a group not approved.
+    with pytest.raises(FormatError, match="must lie in 1.."):
+        parse_preflib_categorical(text, {1})
+
+
+@pytest.mark.parametrize("body", ["1" * 5000 + "{", "1 " * 2500 + "{", "{1}" * 1700 + "{"],
+                         ids=["digits", "spaced", "braced"])
+def test_preflib_long_malformed_line_fails_fast(body):
+    # A group-list pattern that may split a bare token takes time
+    # exponential in the token's length to refuse the first line.
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        parse_preflib_categorical(f"1: {body}\n", {1})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_write_csv_renders_fractions():

@@ -160,6 +160,17 @@ def test_config_refuses_repeated_rule_or_k():
         ExperimentConfig(source, (2, 3, 2), repetitions=2)
 
 
+def test_config_refuses_repetitions_on_fixed_election(fig1b):
+    # A fixed election has no randomness: three repetitions wrote three
+    # identical rows per (k, rule), and aggregate.csv counted 3.
+    for reps in (2, 3):
+        with pytest.raises(HarnessError, match="fixed election"):
+            ExperimentConfig(fig1b, (2, 3), repetitions=reps)
+    result = run_experiment(ExperimentConfig(fig1b, (2, 3)))
+    assert [(row["k"], row["rep"]) for row in result.runs] == [(2, 0)] * 2 + [(3, 0)] * 2
+    assert {row["repetitions"] for row in result.aggregates} == {1}
+
+
 def test_seed_schedule():
     assert run_seed(0, 0, 10, 0) == 0
     assert run_seed(3, 2, 10, 4) == 3 * 1_000_003 + 24
@@ -208,7 +219,7 @@ def test_experiment_fixed_election_custom_epsilon(fig1b):
     config = ExperimentConfig(
         source=fig1b,
         k_values=(3,),
-        repetitions=2,
+        repetitions=1,
         epsilon=Fraction(10),
         base_seed=0,
     )

@@ -194,6 +194,26 @@ def test_committee_members_must_be_exact_ints(fig1b):
     assert validate_committee(fig1b, [2, 0, 1]) == frozenset({0, 1, 2})
 
 
+def test_committee_repeated_member_is_refused(fig1b):
+    # With k = 3, [0, 0, 1, 2] was read as {0, 1, 2} and accepted.
+    eps = Epsilon.zero_plus(3)
+    for bad in ([0, 0, 1, 2], [2, 1, 0, 2], [1, 2, 1, 0]):
+        for check in (
+            lambda: validate_committee(fig1b, bad),
+            lambda: run(fig1b, iter(bad), eps, LexicographicBetterResponse()),
+            lambda: pav_score(fig1b, bad),
+            lambda: validate_sequence(fig1b, bad, [], eps),
+            lambda: is_locally_optimal(fig1b, bad, eps),
+            lambda: SatisfactionState(fig1b, bad),
+        ):
+            with pytest.raises(InvalidCommitteeError, match="twice"):
+                check()
+    # A repeat is named even when the distinct members are too few.
+    with pytest.raises(InvalidCommitteeError, match="lists member 0 twice"):
+        validate_committee(fig1b, [0, 0, 1])
+    assert validate_committee(fig1b, iter([2, 0, 1])) == frozenset({0, 1, 2})
+
+
 def test_scripted_replay_success(fig1b):
     cert = validate_sequence(fig1b, {0, 1, 2}, [Swap(2, 3)], Epsilon.zero_plus(3))
     assert cert.certified_good
