@@ -354,12 +354,11 @@ class SatisfactionState:
     together cover every class.
 
     ``values`` maps each delta numerator (on the scale of
-    ``Election._cell_coefficients``) that :func:`delta` has returned to
-    its Fraction, so equal deltas are one object and each distinct value
-    is built once.  ``__init__`` creates it empty and :meth:`begin_scan`
-    replaces it, so a scan's table holds at most its k(m-k) values and a
-    replay's at most its distinct step values; :func:`apply_swap` keeps
-    it, since a value does not depend on the committee.
+    ``Election._cell_coefficients``) that :func:`delta` has returned
+    outside a scan to its Fraction, so equal deltas are one object and
+    each distinct value is built once.  ``__init__`` creates it empty and
+    nothing resets it, so a replay's table holds exactly its distinct
+    step values; a scan returns bare numerators and does not touch it.
 
     ``scan`` holds one scan's sums dict: None outside a scan,
     :meth:`begin_scan` creates it, and :func:`apply_swap` or the end of
@@ -387,15 +386,14 @@ class SatisfactionState:
 
     def begin_scan(self) -> None:
         """Give :func:`delta` an empty sums dict for a scan of the current
-        committee's swaps, which the next :func:`apply_swap` drops, and
-        an empty value table, which stays until the next scan.
+        committee's swaps, which the next :func:`apply_swap` drops.
 
         While the sums dict is open :func:`delta` checks nothing and
         trusts its caller, as it trusts the pickers' scan: the state was
         checked with :func:`check_state`, ``a`` is seated and ``b`` is an
-        unseated candidate."""
+        unseated candidate.  It returns the bare int numerator of each
+        delta on the scale of ``Election._cell_coefficients``."""
         self.scan = {}
-        self.values = {}
 
 
 def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
@@ -454,7 +452,7 @@ def check_swap(state: SatisfactionState, a: int, b: int) -> None:
         raise InvalidSwapError(f"incoming candidate {b} invalid for committee")
 
 
-def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fraction:
+def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fraction | int:
     """Exact PAV-score change of swapping committee member ``a`` for ``b``.
 
     Only ballot classes approving exactly one of {a, b} count: a class
@@ -465,16 +463,18 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     two popcounts and two multiplies by cached integer coefficients, and
     a cell holding none is skipped.  A replay evaluates one pair per
     state, where scan sums would cost more than they save, so it takes
-    this path.  During a scan (see
+    this path, and the result is the Fraction interned in
+    ``state.values`` (see :class:`SatisfactionState`), built once per
+    distinct value.  During a scan (see
     :meth:`SatisfactionState.begin_scan`) the same value is
 
         G[b] - L[a] + sum over the classes approving a and b of w/(h(h+1)),
 
     with G[b] = sum over b's approvers of w/(h+1) and L[a] = sum over
     a's approvers of w/h read from the scan's sums, so a pair costs one
-    popcount per cell holding some of a's approvers.  Either path
-    returns the Fraction interned in ``state.values`` (see
-    :class:`SatisfactionState`), built once per distinct value.
+    popcount per cell holding some of a's approvers, and it is returned
+    as an int: its numerator on the scale of
+    ``Election._cell_coefficients``, lcm(1..k+1).
 
     Outside a scan every argument is checked (:func:`check_state`, then
     :func:`check_swap`).  During a scan nothing is: the scan checked the
@@ -489,16 +489,7 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
         check_swap(state, a, b)
     masks = election.approval_masks
     scale, up, down = election._cell_coefficients
-    if scan is None:
-        both = masks[a] & masks[b]
-        gain = masks[b] ^ both
-        loss = masks[a] ^ both
-        moving = gain | loss
-        num = 0
-        for key, mask in state.cells.items():
-            if mask & moving:
-                num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
-    else:
+    if scan is not None:
         mask_b = masks[b]
         num = scan.get(b)
         if num is None:
@@ -521,6 +512,15 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
         num -= loss
         for part, coefficient in parts:
             num += (part & mask_b).bit_count() * coefficient
+        return num
+    both = masks[a] & masks[b]
+    gain = masks[b] ^ both
+    loss = masks[a] ^ both
+    moving = gain | loss
+    num = 0
+    for key, mask in state.cells.items():
+        if mask & moving:
+            num += (gain & mask).bit_count() * up[key] - (loss & mask).bit_count() * down[key]
     # Fraction(0) is falsy, so test for a missing entry with "is None".
     values = state.values
     value = values.get(num)
@@ -613,26 +613,29 @@ def validate_sequence(
         except (TypeError, ValueError):
             a = b = None
         try:
-            d = delta(election, state, a, b)
+            deltas.append(delta(election, state, a, b))
         except InvalidSwapError:
             first_invalid = idx
             break
-        assert_quantized(election, d)
-        deltas.append(d)
         apply_swap(state, (a, b))
     valid = first_invalid is None
-    # Sum and compare on the common scale, in ints: every delta's
-    # denominator divides it.
+    # delta interns the step values, so the steps hold few distinct
+    # objects: each is checked and put on the common scale once, and the
+    # sum and the minimum are taken in ints (every delta's denominator
+    # divides the scale).
     scale = election._cell_coefficients[0]
-    nums = [d.numerator * (scale // d.denominator) for d in deltas]
+    nums = {id(d): d for d in deltas}
+    for key, d in nums.items():
+        assert_quantized(election, d)
+        nums[key] = d.numerator * (scale // d.denominator)
     eps = epsilon.value
-    good = not nums or min(nums) * eps.denominator >= eps.numerator * scale
+    good = not nums or min(nums.values()) * eps.denominator >= eps.numerator * scale
     return SequenceCertificate(
         structurally_valid=valid,
         first_invalid_step=first_invalid,
         step_deltas=deltas,
         certified_good=valid and good,
-        total_gain=Fraction(sum(nums), scale),
+        total_gain=Fraction(sum(map(nums.__getitem__, map(id, deltas))), scale),
         final_committee=frozenset(state.committee),
         epsilon=eps,
     )

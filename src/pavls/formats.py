@@ -178,9 +178,16 @@ def _split_groups(body: str, lineno: int) -> list[frozenset[int]]:
     # stripping braces leaves the comma-separated alternatives.
     inners = [token.strip("{}") for token in _GROUP_RE.findall(body)]
     try:
-        return [frozenset(map(int, i.split(","))) if i.strip() else frozenset() for i in inners]
+        groups = [frozenset(map(int, i.split(","))) if i.strip() else frozenset() for i in inners]
     except ValueError:
         raise FormatError(f"non-integer alternative in group list {body!r}", line=lineno)
+    # The groups partition the line's alternatives into categories.
+    seen: frozenset[int] = frozenset()
+    for group in groups:
+        if seen & group:
+            raise FormatError(f"alternative {min(seen & group)} is in two groups", line=lineno)
+        seen |= group
+    return groups
 
 
 def parse_preflib_categorical(
@@ -217,6 +224,7 @@ def parse_preflib_categorical(
     categories: dict[int, str] = {}
     alt_names: dict[int, str] = {}
     indexed = {"CATEGORY NAME ": categories, "ALTERNATIVE NAME ": alt_names}
+    known: dict[str, str] = {}  # the other metadata read
     declared: Optional[int] = None
     ballots: list[tuple[int, list[frozenset[int]]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -231,16 +239,24 @@ def parse_preflib_categorical(
         prefix = next((p for p in indexed if key.startswith(p)), None)
         if prefix is not None:
             try:
-                indexed[prefix][int(key[len(prefix):])] = value
+                table, key = indexed[prefix], int(key[len(prefix):])
             except ValueError:
                 raise FormatError(f"bad index in key {key!r}", line=lineno)
-        elif key == "NUMBER ALTERNATIVES":
+        elif key in _KNOWN_METADATA:
+            table = known
+        else:
+            warnings.warn(f"line {lineno}: unknown metadata key {key!r}")
+            continue
+        # A second value would overwrite the first, as a repeated native
+        # cand index would.
+        if key in table:
+            raise FormatError(f"repeated metadata key in {line!r}", line=lineno)
+        table[key] = value
+        if key == "NUMBER ALTERNATIVES":
             try:
                 declared = int(value)
             except ValueError:
                 raise FormatError(f"bad alternative count {value!r}", line=lineno)
-        elif key not in _KNOWN_METADATA:
-            warnings.warn(f"line {lineno}: unknown metadata key {key!r}")
 
     if not ballots:
         raise FormatError("no data lines")

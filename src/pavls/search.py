@@ -8,9 +8,11 @@ are the experiments' cost metric and are sequential-deterministic.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -42,15 +44,16 @@ def check_order(order: Sequence[int], m: int) -> None:
 
 def _scan(
     election: Election, state: SatisfactionState, order: Optional[Sequence[int]]
-) -> Iterator[tuple[int, int, Fraction]]:
-    """Yield (outgoing, incoming, delta) for every swap in lexicographic
-    (incoming, outgoing) order under ``order`` (index order if None).
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (outgoing, incoming, delta numerator) for every swap in
+    lexicographic (incoming, outgoing) order under ``order`` (index order
+    if None); the numerators are on the scale of :func:`_need`.
 
-    The state and the order are checked here, once: the scan opens the
-    state's per-scan caches (see :meth:`SatisfactionState.begin_scan`),
-    under which :func:`delta` checks nothing, and closes them when it
-    ends or is abandoned, so a later direct :func:`delta` call is checked."""
-    check_state(election, state)
+    The order is checked here, once, and the state by the picker: the
+    scan opens the state's per-scan caches (see
+    :meth:`SatisfactionState.begin_scan`), under which :func:`delta`
+    checks nothing, and closes them when it ends or is abandoned, so a
+    later direct :func:`delta` call is checked."""
     if order is None:
         order = range(election.m)
     else:
@@ -67,6 +70,17 @@ def _scan(
         state.scan = None
 
 
+def _need(election: Election, state: SatisfactionState, epsilon: Epsilon) -> tuple[int, int]:
+    """(scale, need) for a picker's scan of ``state``, after checking the
+    threshold and the state: delta numerators are on the common scale
+    lcm(1..k+1), and a numerator reaches epsilon iff it is at least
+    need = ceil(epsilon * scale)."""
+    check_epsilon(epsilon)
+    check_state(election, state)
+    scale = election._cell_coefficients[0]
+    return scale, math.ceil(epsilon.value * scale)
+
+
 def next_swap_lex(
     election: Election,
     state: SatisfactionState,
@@ -81,14 +95,11 @@ def next_swap_lex(
     :class:`Epsilon`, a state not built for ``election`` or an order
     that is not a permutation of range(m) raises a :class:`PavlsError`.
     """
-    check_epsilon(epsilon)
-    # d >= epsilon, cross-multiplied in ints: epsilon's denominator (n/k^2,
-    # say) need not divide the delta scale.
-    tn, td = epsilon.value.numerator, epsilon.value.denominator
+    scale, need = _need(election, state, epsilon)
     comparisons = 0
-    for comparisons, (a, b, d) in enumerate(_scan(election, state, order), 1):
-        if d.numerator * td >= tn * d.denominator:
-            return Swap(a, b), d, comparisons
+    for comparisons, (a, b, num) in enumerate(_scan(election, state, order), 1):
+        if num >= need:
+            return Swap(a, b), Fraction(num, scale), comparisons
     return None, None, comparisons
 
 
@@ -101,28 +112,17 @@ def next_swap_best(
     """Maximum-delta swap if it reaches epsilon, else absent.
 
     Always evaluates all k(m-k) pairs.  The first maximizer in
-    lexicographic (in, out) order wins ties.  Checks its arguments as
-    :func:`next_swap_lex` does.
+    lexicographic (in, out) order wins ties (``max`` keeps it).  Checks
+    its arguments as :func:`next_swap_lex` does.
     """
-    check_epsilon(epsilon)
-    scan = _scan(election, state, order)
-    best = next(scan, None)  # checks the state and the order
+    scale, need = _need(election, state, epsilon)
+    best = max(_scan(election, state, order), key=itemgetter(2), default=None)
     k = len(state.committee)
     comparisons = k * (election.m - k)
-    if best is None:
+    if best is None or best[2] < need:
         return None, None, comparisons
-    # Maximum and threshold test by integer cross-multiplication; only a
-    # strictly larger delta replaces the best.
-    bn, bd = best[2].numerator, best[2].denominator
-    for item in scan:
-        d = item[2]
-        if d.numerator * bd > bn * d.denominator:
-            best, bn, bd = item, d.numerator, d.denominator
-    eps = epsilon.value
-    if bn * eps.denominator < eps.numerator * bd:
-        return None, None, comparisons
-    a, b, d = best
-    return Swap(a, b), d, comparisons
+    a, b, num = best
+    return Swap(a, b), Fraction(num, scale), comparisons
 
 
 @dataclass(frozen=True)

@@ -461,9 +461,10 @@ def test_engine_walk_matches_scratch_scores(walk):
 @settings(max_examples=300, deadline=None)
 @given(_walks())
 def test_scan_sums_match_one_pass_delta(walk):
-    """With a scan's caches open, every pair's delta equals the one-pass
-    delta (no caches) and the score change from scratch, and G[b] - L[a]
-    is a lower bound on it; applying a swap drops the caches."""
+    """With a scan's caches open, every pair's delta is an int numerator
+    on the election's scale, equal to the one-pass delta (no caches) and
+    the score change from scratch, and G[b] - L[a] is a lower bound on
+    it; applying a swap drops the caches."""
     e, committee, steps = walk
     scale = e._cell_coefficients[0]
     state = SatisfactionState(e, committee)
@@ -478,9 +479,10 @@ def test_scan_sums_match_one_pass_delta(walk):
         state.begin_scan()
         sums = state.scan
         for a, b in pairs:
-            d = delta(e, state, a, b)
-            assert d == one_pass[a, b] == pav_score(e, (current - {a}) | {b}) - score
-            assert Fraction(sums[b] - sums[a][0], scale) <= d
+            num = delta(e, state, a, b)
+            assert type(num) is int and Fraction(num, scale) == one_pass[a, b]
+            assert one_pass[a, b] == pav_score(e, (current - {a}) | {b}) - score
+            assert sums[b] - sums[a][0] <= num
         if step is None:
             break
         i, j = step
@@ -497,10 +499,11 @@ def test_scan_sums_match_one_pass_delta(walk):
 @example(walk=(_ZERO_GAIN, (0,), [(0, 0), (0, 0)]), perm=None)
 def test_integer_threshold_tests_match_fraction_reference(selector, walk, perm):
     """The pickers' and the replay's integer tests agree with plain
-    Fraction comparisons, in index order or in a drawn candidate order,
-    and delta hands out one Fraction per value within a scan (zero
-    included)."""
+    Fraction comparisons, in index order or in a drawn candidate order;
+    within a scan delta returns each value's int numerator on the
+    election's scale (zero included), and the pickers a Fraction."""
     e, committee, steps = walk
+    scale = e._cell_coefficients[0]
     eps = Epsilon.resolve(selector, e)
     # The drawn permutation of range(8) restricted to range(m), m <= 8.
     order = None if perm is None else tuple(c for c in perm if c < e.m)
@@ -525,15 +528,18 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk, perm):
                     if d >= eps.value:
                         found = (Swap(a, b), d)
         state.begin_scan()
-        interned = {}
         for (a, b), d in reference.items():
-            first = delta(e, state, a, b)
-            assert first == d and delta(e, state, a, b) is first
-            assert interned.setdefault(d, first) is first
-        assert next_swap_lex(e, state, eps, order) == (*(found or (None, None)), used)
+            num = delta(e, state, a, b)
+            assert type(num) is int and Fraction(num, scale) == d
+            assert delta(e, state, a, b) == num
+        picked = next_swap_lex(e, state, eps, order)
+        assert picked == (*(found or (None, None)), used)
+        assert picked[1] is None or type(picked[1]) is Fraction
         if best is None or best[1] < eps.value:
             best = (None, None)
-        assert next_swap_best(e, state, eps, order) == (*best, total)
+        picked = next_swap_best(e, state, eps, order)
+        assert picked == (*best, total)
+        assert picked[1] is None or type(picked[1]) is Fraction
         if step is None:
             break
         i, j = step

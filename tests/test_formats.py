@@ -359,6 +359,16 @@ _PREFLIB_SPELLINGS = [
     ("1: {0}", {1}, _refused(None)),
     ("", {1}, _refused(None)),
     ("just text", {1}, _refused(1)),
+    # an alternative in two groups, approved or not
+    ("1: {1,2},{1}", {1}, _refused(1)),
+    ("1: {1}\n1: {3},2,{2,4}", {1}, _refused(2)),
+    ("1: {},{1},{}", {2}, _e(1, ({0}, 1))),
+    # a repeated metadata key or index
+    ("# ALTERNATIVE NAME 1: x\n# ALTERNATIVE NAME 1: y\n1: {1}", {1}, _refused(2)),
+    ("# CATEGORY NAME 1: yes\n# CATEGORY NAME +1: no\n1: {1}", {1}, _refused(2)),
+    ("# CATEGORY NAME 2: a\n1: {1},{2}\n# CATEGORY NAME 2: b", {1}, _refused(3)),
+    ("# NUMBER ALTERNATIVES: 5\n1: {1},{2}\n# NUMBER ALTERNATIVES: 2", {1}, _refused(3)),
+    ("# TITLE: t\n# TITLE: t\n1: {1}", {1}, _refused(2)),
 ]
 
 

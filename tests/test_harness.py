@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from pavls import (
     BallotClass,
     Election,
     ExperimentConfig,
+    Euclidean,
     ImpartialCulture,
     InvalidEpsilonError,
     PavlsError,
+    Resampling,
     SamplerConfig,
     aggregate,
     brute_force_optimum,
@@ -323,3 +326,20 @@ def test_input_entry_points_raise_only_pavls_errors(data):
         call(*args)
     except PavlsError:
         pass
+
+
+def test_experiment_csvs_pinned():
+    # Both rules' swaps and comparison counts, over four models and three
+    # thresholds: a digest of runs.csv then aggregate.csv per config, in
+    # order, recorded at commit ae6c70b.
+    models = (ImpartialCulture(0.5), Resampling(0.5, 0.5), Euclidean(2, 0.25),
+              Euclidean(1, 0.05))
+    digest = hashlib.sha256()
+    for model in models:
+        for eps in ("zero-plus", "threshold", "1/2"):
+            result = run_experiment(ExperimentConfig(
+                SamplerConfig(model, 30, 10, 0), (2, 3, 4, 5), 4, epsilon=eps, base_seed=3))
+            digest.update(result.runs_csv().encode())
+            digest.update(result.aggregate_csv().encode())
+    assert digest.hexdigest() == \
+        "abe5c15f0ef56633cd925725b888d3d76471acbb00198cee5de61ebc96674eb6"

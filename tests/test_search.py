@@ -44,6 +44,19 @@ def test_best_scans_everything(fig1b):
     assert swap == Swap(0, 3)  # first maximizer in (in, out) order
 
 
+def test_epsilon_boundary(fig1b):
+    # A delta equal to epsilon qualifies; half a scale unit above the
+    # largest delta (an epsilon off the delta scale lcm(1..k+1)) none does.
+    # Candidate 5 goes first, so lex fails three pairs before (0, 3).
+    order = (5, 3, 4, 0, 1, 2, 6, 7, 8, 9, 10)
+    top = Fraction(28, 3)
+    for picker, used in ((next_swap_lex, 4), (next_swap_best, 24)):
+        state = SatisfactionState(fig1b, {0, 1, 2})
+        assert picker(fig1b, state, Epsilon(top), order) == (Swap(0, 3), top, used)
+        above = Epsilon(top + Fraction(1, 2 * fig1b._cell_coefficients[0]))
+        assert picker(fig1b, state, above, order) == (None, None, 24)
+
+
 def test_custom_order_changes_selection(fig1b):
     state = SatisfactionState(fig1b, {0, 1, 2})
     order = tuple([4, 3] + list(range(3)) + list(range(5, 11)))
