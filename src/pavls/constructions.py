@@ -161,7 +161,8 @@ def warmup_election(k: int) -> LabeledElection:
 
 
 def warmup_initial_committee(labeled: LabeledElection) -> frozenset[int]:
-    k = labeled.election.committee_size
+    _check_params(labeled, LabeledElection)
+    k = labeled.election.require_committee_size()
     names = ["c[1,1]", "c[2,1]"] + _dummies(k - 2)
     return labeled.committee(*names)
 

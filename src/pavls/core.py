@@ -126,18 +126,30 @@ class Election:
     committee_size: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
-        object.__setattr__(self, "ballot_classes", tuple(self.ballot_classes))
-        m = len(self.candidate_names)
+        try:
+            names, classes = tuple(self.candidate_names), tuple(self.ballot_classes)
+            distinct = len(set(names))
+        except TypeError:  # not iterable, or an unhashable name
+            raise InvalidElectionError(
+                "candidate names and ballot classes must be iterables, the names hashable"
+            ) from None
+        object.__setattr__(self, "candidate_names", names)
+        object.__setattr__(self, "ballot_classes", classes)
+        m = len(names)
         if m < 1:
             raise InvalidElectionError("election needs at least one candidate")
-        if len(set(self.candidate_names)) != m:
+        if distinct != m:
             raise InvalidElectionError("candidate names must be distinct")
-        if not self.ballot_classes:
+        if not classes:
             raise InvalidElectionError("election needs at least one ballot class")
-        # Candidates are exact ints (a bool would pass for candidate 0 or
-        # 1); both checks run over all entries at once, in C.
-        approves = [bc.approves for bc in self.ballot_classes]
+        # Classes are exact BallotClasses, and candidates exact ints (a
+        # bool would pass for candidate 0 or 1); each check runs over all
+        # classes or entries at once, in C.
+        types = set(map(type, classes)) - {BallotClass}
+        if types:
+            name = types.pop().__name__
+            raise InvalidElectionError(f"ballot classes must be BallotClasses, got a {name}")
+        approves = [bc.approves for bc in classes]
         types = set(map(type, chain.from_iterable(approves))) - {int}
         if types:
             raise InvalidElectionError(f"ballot entries must be ints, got a {types.pop().__name__}")
@@ -354,22 +366,15 @@ class SatisfactionState:
     together cover every class.
 
     ``values`` maps each delta numerator (on the scale of
-    ``Election._cell_coefficients``) that :func:`delta` has returned
-    outside a scan to its Fraction, so equal deltas are one object and
-    each distinct value is built once.  ``__init__`` creates it empty and
-    nothing resets it, so a replay's table holds exactly its distinct
-    step values; a scan returns bare numerators and does not touch it.
-
-    ``scan`` holds one scan's sums dict: None outside a scan,
-    :meth:`begin_scan` creates it, and :func:`apply_swap` or the end of
-    a picker's scan drops it.  During a scan :func:`delta` fills it
-    lazily with each incoming candidate's gain sum and each outgoing
-    member's loss sum and approver parts.  Owned by exactly one run at
-    a time; concurrent runs over the same election each build their own
-    state.
+    ``Election._cell_coefficients``) that :func:`delta` has returned to
+    its Fraction, so equal deltas are one object and each distinct value
+    is built once.  ``__init__`` creates it empty and nothing resets it,
+    so a replay's table holds exactly its distinct step values.  Owned
+    by exactly one run at a time; concurrent runs over the same election
+    each build their own state.
     """
 
-    __slots__ = ("election", "committee", "cells", "scan", "values")
+    __slots__ = ("election", "committee", "cells", "values")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
@@ -381,19 +386,19 @@ class SatisfactionState:
         for c in members:
             cells = _move(cells, 0, masks[c])
         self.cells = cells
-        self.scan: Optional[dict] = None
         self.values: dict[int, Fraction] = {}
 
-    def begin_scan(self) -> None:
-        """Give :func:`delta` an empty sums dict for a scan of the current
-        committee's swaps, which the next :func:`apply_swap` drops.
 
-        While the sums dict is open :func:`delta` checks nothing and
-        trusts its caller, as it trusts the pickers' scan: the state was
-        checked with :func:`check_state`, ``a`` is seated and ``b`` is an
-        unseated candidate.  It returns the bare int numerator of each
-        delta on the scale of ``Election._cell_coefficients``."""
-        self.scan = {}
+class _Scan(dict):
+    """One picker scan of a state's committee: the ``cells`` it scans and
+    the sums :func:`delta` fills lazily, keyed by candidate (each
+    incoming candidate's gain sum, each outgoing member's loss sum and
+    approver parts)."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: dict[int, int]):
+        self.cells = cells
 
 
 def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
@@ -457,16 +462,19 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
 
     Only ballot classes approving exactly one of {a, b} count: a class
     of weight w at h hits approving b but not a gains w/(h+1), one
-    approving a but not b loses w/h.  Outside a scan (``state.scan`` is
-    None), both sets are masks, built without negative ints, so each
-    occupied (weight group, hit count) cell holding some of them costs
-    two popcounts and two multiplies by cached integer coefficients, and
-    a cell holding none is skipped.  A replay evaluates one pair per
-    state, where scan sums would cost more than they save, so it takes
-    this path, and the result is the Fraction interned in
+    approving a but not b loses w/h.  Both sets are masks, built
+    without negative ints, so each occupied (weight group, hit count)
+    cell holding some of them costs two popcounts and two multiplies by
+    cached integer coefficients, and a cell holding none is skipped.  A
+    replay evaluates one pair per state, where scan sums would cost more
+    than they save.  Every argument is checked (:func:`check_state`, then
+    :func:`check_swap`), and the result is the Fraction interned in
     ``state.values`` (see :class:`SatisfactionState`), built once per
-    distinct value.  During a scan (see
-    :meth:`SatisfactionState.begin_scan`) the same value is
+    distinct value.
+
+    A picker's scan passes its own ``_Scan`` for ``state`` instead; only
+    then is nothing checked, since the picker checked the state and
+    passes only pairs of its committee.  The same value is then
 
         G[b] - L[a] + sum over the classes approving a and b of w/(h(h+1)),
 
@@ -475,28 +483,17 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     popcount per cell holding some of a's approvers, and it is returned
     as an int: its numerator on the scale of
     ``Election._cell_coefficients``, lcm(1..k+1).
-
-    Outside a scan every argument is checked (:func:`check_state`, then
-    :func:`check_swap`).  During a scan nothing is: the scan checked the
-    state when it began, and it passes only pairs of its own committee.
     """
-    try:
-        scan = state.scan
-    except AttributeError:  # not a state, which check_state refuses
-        scan = None
-    if scan is None:
-        check_state(election, state)
-        check_swap(state, a, b)
-    masks = election.approval_masks
-    scale, up, down = election._cell_coefficients
-    if scan is not None:
+    if type(state) is _Scan:
+        masks = election.approval_masks
+        _, up, down = election._cell_coefficients
         mask_b = masks[b]
-        num = scan.get(b)
+        num = state.get(b)
         if num is None:
-            num = scan[b] = sum(
+            num = state[b] = sum(
                 (mask_b & mask).bit_count() * up[key] for key, mask in state.cells.items()
             )
-        outgoing = scan.get(a)
+        outgoing = state.get(a)
         if outgoing is None:
             # L[a], and each non-empty part of a cell approving a with its
             # coefficient w/(h(h+1)) = w/h - w/(h+1), positive since h >= 1.
@@ -507,12 +504,16 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
                 if part:
                     loss += part.bit_count() * down[key]
                     parts.append((part, down[key] - up[key]))
-            outgoing = scan[a] = loss, parts
+            outgoing = state[a] = loss, parts
         loss, parts = outgoing
         num -= loss
         for part, coefficient in parts:
             num += (part & mask_b).bit_count() * coefficient
         return num
+    check_state(election, state)
+    check_swap(state, a, b)
+    masks = election.approval_masks
+    scale, up, down = election._cell_coefficients
     both = masks[a] & masks[b]
     gain = masks[b] ^ both
     loss = masks[a] ^ both
@@ -530,8 +531,7 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
 
 
 def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
-    """Apply a swap in place, ending any scan; the state is untouched if
-    the swap is invalid."""
+    """Apply a swap in place; the state is untouched if the swap is invalid."""
     try:
         a, b = swap
     except (TypeError, ValueError):
@@ -542,7 +542,6 @@ def apply_swap(state: SatisfactionState, swap: Swap) -> SatisfactionState:
     masks = state.election.approval_masks
     both = masks[a] & masks[b]
     state.cells = _move(state.cells, masks[a] ^ both, masks[b] ^ both)
-    state.scan = None
     state.committee.discard(a)
     state.committee.add(b)
     return state

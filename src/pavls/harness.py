@@ -67,14 +67,9 @@ class ExperimentConfig:
         # Exact ints: a string would split into digit strings and bytes
         # into character codes, and each k is written to runs.csv as
         # given.  A k the election cannot seat stays a per-cell error.
-        try:
-            k_values = None if isinstance(self.k_values, bytes) else tuple(self.k_values)
-        except TypeError:
-            k_values = None
-        if k_values is None or any(type(k) is not int for k in k_values):
-            raise HarnessError(f"k_values must be an iterable of ints, got {self.k_values!r}")
-        object.__setattr__(self, "k_values", k_values)
-        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "k_values", _tuple_of(self.k_values, int, "k_values"))
+        # A bare string would split into one-letter rules.
+        object.__setattr__(self, "rules", _tuple_of(self.rules, str, "rules"))
         object.__setattr__(self, "epsilon", Epsilon.check_selector(self.epsilon))
         if not self.k_values:
             raise HarnessError("need at least one committee size")
@@ -106,6 +101,18 @@ class ExperimentConfig:
         for name, values in (("rule", self.rules), ("k", self.k_values)):
             if len(set(values)) < len(values):
                 raise HarnessError(f"repeated {name} in {values!r}")
+
+
+def _tuple_of(values: object, kind: type, name: str) -> tuple:
+    """``values`` as a tuple; :class:`HarnessError` unless it is an
+    iterable, but not a str or bytes, of exact ``kind`` instances."""
+    try:
+        items = None if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        items = None
+    if items is None or any(type(v) is not kind for v in items):
+        raise HarnessError(f"{name} must be an iterable of {kind.__name__}s, got {values!r}")
+    return items
 
 
 def _model_tag(source: Union[SamplerConfig, Election]) -> str:

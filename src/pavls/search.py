@@ -21,6 +21,7 @@ from .core import (
     PavlsError,
     SatisfactionState,
     Swap,
+    _Scan,
     apply_swap,
     assert_quantized,
     check_epsilon,
@@ -49,25 +50,21 @@ def _scan(
     lexicographic (incoming, outgoing) order under ``order`` (index order
     if None); the numerators are on the scale of :func:`_need`.
 
-    The order is checked here, once, and the state by the picker: the
-    scan opens the state's per-scan caches (see
-    :meth:`SatisfactionState.begin_scan`), under which :func:`delta`
-    checks nothing, and closes them when it ends or is abandoned, so a
-    later direct :func:`delta` call is checked."""
+    The order is checked here, once, and the state by the picker; each
+    :func:`delta` call then gets this scan's own sums object in place
+    of the state, so it checks nothing and returns an int.  The state
+    is only read."""
     if order is None:
         order = range(election.m)
     else:
         check_order(order, election.m)
-    state.begin_scan()
+    scan = _Scan(state.cells)
     committee = state.committee
     outs = [c for c in order if c in committee]
-    try:
-        for b in order:
-            if b not in committee:
-                for a in outs:
-                    yield a, b, delta(election, state, a, b)
-    finally:
-        state.scan = None
+    for b in order:
+        if b not in committee:
+            for a in outs:
+                yield a, b, delta(election, scan, a, b)
 
 
 def _need(election: Election, state: SatisfactionState, epsilon: Epsilon) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -103,6 +104,22 @@ def test_experiment_subcommand(tmp_path, capsys):
         SamplerConfig(ImpartialCulture(0.5), 20, 6, 0), (2, 3), repetitions=3, base_seed=11))
     assert runs == result.runs_csv()
     assert agg == result.aggregate_csv()
+
+
+def test_experiment_failed_cell_exit_code(tmp_path, capsys):
+    # k = 5 cannot be seated among 3 candidates: both rules' rows carry
+    # the error, each is reported on stderr, and the exit code is 1.
+    out_dir = tmp_path / "exp"
+    with pytest.warns(UserWarning, match="no successful runs"):
+        rc = main(["experiment", "--model", "ic", "-n", "5", "-m", "3",
+                   "--k-values", "2,5", "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("failed run: ") for line in err) == 2
+    with open(out_dir / "runs.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4
+    assert [row["error"] for row in rows].count("committee size 5 not an int in [1, 3]") == 2
 
 
 def test_oracle_subcommands(tmp_path, capsys, fig1b):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from pavls import (
     ConstructionError,
     Epsilon,
     HardenedParams,
+    InvalidCommitteeError,
     InvalidElectionError,
     LayeredParams,
     PavlsError,
@@ -76,6 +78,14 @@ def test_warmup_small_sizes():
             warmup_election(k)
         with pytest.raises(ConstructionError, match="k >= 4"):
             warmup_sequence(k)
+    # None raised a bare AttributeError, and an election without a
+    # committee size a bare TypeError.
+    for labeled in (None, lab.election, (lab.election, {})):
+        with pytest.raises(ConstructionError, match="must be a LabeledElection"):
+            warmup_initial_committee(labeled)
+    unsized = replace(lab, election=lab.election.with_committee_size(None))
+    with pytest.raises(InvalidCommitteeError, match="no committee size"):
+        warmup_initial_committee(unsized)
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
@@ -426,8 +436,8 @@ def test_layered_x_sequence_certifies_small():
 def test_replay_interns_step_values():
     # A replay builds each distinct step value once: equal step deltas are
     # one object, and the state's value table ends with one entry per
-    # distinct value.  A scan works on int numerators and leaves the table
-    # as it was.
+    # distinct value.  A picker's scan works on int numerators and leaves
+    # the table as it was.
     p = LayeredParams(2, 22)
     e = layered_election(p).election
     start = layered_initial_committee(p)
@@ -446,8 +456,6 @@ def test_replay_interns_step_values():
     assert len(state.values) == len(distinct)
     assert set(state.values.values()) == distinct
     table = dict(state.values)
-    state.begin_scan()
-    assert state.values == table
     next_swap_best(e, state, eps)
     assert state.values == table
 
@@ -662,6 +670,8 @@ _ENTRY_POINTS = {
     "e_t_election": (e_t_election, (_junk, _junk, _junk)),
     "warmup_election": (warmup_election, (_junk,)),
     "warmup_sequence": (warmup_sequence, (_junk,)),
+    "warmup_initial_committee": (warmup_initial_committee,
+                                 (_params | st.builds(warmup_election, st.integers(4, 6)),)),
     "LayeredParams": (LayeredParams, (_junk, _junk)),
     "asymptotic_levels": (LayeredParams.asymptotic_levels, (_junk,)),
     "min_k_gain_search": (min_k_gain_search, (_junk | st.lists(_junk, max_size=3), _junk)),

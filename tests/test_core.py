@@ -31,7 +31,7 @@ from pavls import (
 )
 import pavls.core
 import pavls.search
-from pavls.core import SatisfactionState, apply_swap, assert_quantized
+from pavls.core import SatisfactionState, _Scan, apply_swap, assert_quantized
 from pavls.search import RULES, next_swap_best, next_swap_lex, run
 
 
@@ -107,6 +107,28 @@ def test_ballot_class_rejects_non_frozenset_approvals():
             BallotClass(approves, 1)
     with pytest.raises(InvalidElectionError):
         Election(("a", "b"), (BallotClass([0, 1], 1),), 1)
+
+
+_CLASSES = (BallotClass(frozenset({0}), 1),)
+
+
+# Each call raised a bare TypeError or AttributeError.
+@pytest.mark.parametrize("names, classes, k, message", [
+    (None, _CLASSES, 2, "must be iterables"),
+    (("a", "b"), None, 1, "must be iterables"),
+    ((["a"], "b"), _CLASSES, 1, "names hashable"),
+    (("a", "b"), [0], 1, "BallotClasses, got a int"),
+    (("a", "b"), "x", 1, "BallotClasses, got a str"),
+])
+def test_election_rejects_junk_names_and_classes(names, classes, k, message):
+    with pytest.raises(InvalidElectionError, match=message):
+        Election(names, classes, k)
+
+
+def test_committee_member_out_of_range():
+    e = Election(("a", "b"), _CLASSES, 2)
+    with pytest.raises(InvalidCommitteeError, match="out of range: 99"):
+        validate_committee(e, [0, 99])
 
 
 def test_committee_size_plumbing():
@@ -461,25 +483,22 @@ def test_engine_walk_matches_scratch_scores(walk):
 @settings(max_examples=300, deadline=None)
 @given(_walks())
 def test_scan_sums_match_one_pass_delta(walk):
-    """With a scan's caches open, every pair's delta is an int numerator
-    on the election's scale, equal to the one-pass delta (no caches) and
-    the score change from scratch, and G[b] - L[a] is a lower bound on
-    it; applying a swap drops the caches."""
+    """Given a scan's sums object, every pair's delta is an int numerator
+    on the election's scale, equal to the one-pass delta of the state
+    and the score change from scratch, and G[b] - L[a] is a lower bound
+    on it."""
     e, committee, steps = walk
     scale = e._cell_coefficients[0]
     state = SatisfactionState(e, committee)
-    assert state.scan is None
     current = frozenset(committee)
     for step in steps + [None]:
         score = pav_score(e, current)
         outside = [c for c in range(e.m) if c not in current]
         pairs = [(a, b) for b in outside for a in sorted(current)]
-        # Whatever caches the last swap left in place (None) are used here.
         one_pass = {pair: delta(e, state, *pair) for pair in pairs}
-        state.begin_scan()
-        sums = state.scan
+        sums = _Scan(state.cells)
         for a, b in pairs:
-            num = delta(e, state, a, b)
+            num = delta(e, sums, a, b)
             assert type(num) is int and Fraction(num, scale) == one_pass[a, b]
             assert one_pass[a, b] == pav_score(e, (current - {a}) | {b}) - score
             assert sums[b] - sums[a][0] <= num
@@ -488,7 +507,6 @@ def test_scan_sums_match_one_pass_delta(walk):
         i, j = step
         a, b = sorted(current)[i], outside[j]
         apply_swap(state, Swap(a, b))
-        assert state.scan is None
         current = (current - {a}) | {b}
 
 
@@ -500,8 +518,8 @@ def test_scan_sums_match_one_pass_delta(walk):
 def test_integer_threshold_tests_match_fraction_reference(selector, walk, perm):
     """The pickers' and the replay's integer tests agree with plain
     Fraction comparisons, in index order or in a drawn candidate order;
-    within a scan delta returns each value's int numerator on the
-    election's scale (zero included), and the pickers a Fraction."""
+    given a scan's sums object delta returns each value's int numerator
+    on the election's scale (zero included), and the pickers a Fraction."""
     e, committee, steps = walk
     scale = e._cell_coefficients[0]
     eps = Epsilon.resolve(selector, e)
@@ -527,11 +545,11 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk, perm):
                     used += 1
                     if d >= eps.value:
                         found = (Swap(a, b), d)
-        state.begin_scan()
+        scan = _Scan(state.cells)
         for (a, b), d in reference.items():
-            num = delta(e, state, a, b)
+            num = delta(e, scan, a, b)
             assert type(num) is int and Fraction(num, scale) == d
-            assert delta(e, state, a, b) == num
+            assert delta(e, scan, a, b) == num
         picked = next_swap_lex(e, state, eps, order)
         assert picked == (*(found or (None, None)), used)
         assert picked[1] is None or type(picked[1]) is Fraction
@@ -569,6 +587,34 @@ def _scanned_state():
     state = SatisfactionState(_E5, (0, 1))
     next_swap_best(_E5, state, Epsilon.zero_plus(2))
     return state
+
+
+def _lex_stopped_state():
+    """A state of _E5 whose lex scan returned at its first comparison."""
+    state = SatisfactionState(_E5, (3, 4))
+    assert next_swap_lex(_E5, state, Epsilon.zero_plus(2))[::2] == (Swap(3, 0), 1)
+    return state
+
+
+@pytest.mark.parametrize("make_state", [_lex_stopped_state, _scanned_state])
+def test_delta_on_a_state_is_always_checked(make_state):
+    # Whatever scans ran on it, a state passed to delta is checked and
+    # gives a Fraction: no scan leaves it in an unchecked mode.
+    state = make_state()
+    a = min(state.committee)
+    b, other = [c for c in range(_E5.m) if c not in state.committee][:2]
+    with pytest.raises(InvalidSwapError, match="not in committee"):
+        delta(_E5, state, b, other)
+    with pytest.raises(InvalidSwapError, match="invalid for committee"):
+        delta(_E5, state, a, 7)
+    with pytest.raises(PavlsError, match="not a SatisfactionState of this election"):
+        delta(_FOREIGN, state, a, b)
+    with pytest.raises(PavlsError, match="not a SatisfactionState of this election"):
+        delta(_E5, SatisfactionState(_FOREIGN, state.committee), a, b)
+    d = delta(_E5, state, a, b)
+    committee = frozenset(state.committee)
+    assert type(d) is Fraction
+    assert d == pav_score(_E5, (committee - {a}) | {b}) - pav_score(_E5, committee)
 
 
 # States are built per draw, since apply_swap changes them.

@@ -84,6 +84,14 @@ def test_native_basic_shape():
     )
 
 
+def test_native_skips_blank_lines_between_ballots():
+    text = "pavls 1 2 1\ncand 0 a\ncand 1 b\nballot 2: 0\n\n  \nballot 1: 1\n"
+    assert parse_native(text).ballot_classes == (
+        BallotClass(frozenset({0}), 2),
+        BallotClass(frozenset({1}), 1),
+    )
+
+
 @pytest.mark.parametrize(
     "mutation,line",
     [

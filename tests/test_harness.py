@@ -24,7 +24,9 @@ from pavls import (
     select_initial_committee,
     write_csv,
 )
+from pavls import harness
 from pavls.harness import HarnessError, InvalidQuantileError, nearest_rank, run_seed
+from pavls.search import RULES
 
 
 def test_select_initial_committee(fig1a):
@@ -153,6 +155,18 @@ def test_config_rejects_bad_source_and_k_values(fig1b):
     assert ExperimentConfig(fig1b, range(2, 4)).k_values == (2, 3)
 
 
+def test_config_refuses_junk_and_empty_rules():
+    # None and 5 raised a bare TypeError, and "best" ran as the rules
+    # "b", "e", "s", "t".
+    source = SamplerConfig(ImpartialCulture(0.5), 10, 5, 0)
+    for bad in (None, 5, "best"):
+        with pytest.raises(HarnessError, match="rules must be an iterable of strs"):
+            ExperimentConfig(source, (2,), rules=bad)
+    with pytest.raises(HarnessError, match="need at least one pivoting rule"):
+        ExperimentConfig(source, (2,), rules=())
+    assert ExperimentConfig(source, (2,), rules=["best"]).rules == ("best",)
+
+
 def test_config_refuses_repeated_rule_or_k():
     # A repeated rule or k ran its cells twice, and aggregate.csv counted
     # them as one group of twice the repetitions.
@@ -244,6 +258,29 @@ def test_experiment_records_failures():
     assert result.aggregates == []
 
 
+def test_experiment_records_a_failed_rule(monkeypatch):
+    # A rule that fails after its cell's set-up succeeded: only its rows
+    # carry the error, and aggregate skips its groups with a warning.
+    real_run = harness.run
+
+    def run(election, initial, epsilon, rule):
+        if rule is RULES["best"]:
+            raise PavlsError("best failed")
+        return real_run(election, initial, epsilon, rule)
+
+    monkeypatch.setattr(harness, "run", run)
+    config = ExperimentConfig(SamplerConfig(ImpartialCulture(0.5), 10, 5, 0), (2, 3), 2)
+    with pytest.warns(UserWarning, match="no successful runs"):
+        result = run_experiment(config)
+    assert len(result.runs) == 8
+    for row in result.runs:
+        failed = row["rule"] == "best"
+        assert row["error"] == ("best failed" if failed else "")
+        assert (row["swaps"] == "") == failed
+    assert {(row["k"], row["rule"]) for row in result.aggregates} == \
+        {(2, "lex-better"), (3, "lex-better")}
+
+
 # ---------------------------------------------------------------------------
 # Sampler, format, harness and oracle entry points under junk arguments
 
@@ -306,6 +343,13 @@ _INPUT_ENTRY_POINTS = {
                  max_size=3) | _junk,
         st.sampled_from((("a", "b"), ["a"], ())) | st.lists(_junk, max_size=2) | _junk)),
     "run_experiment": (run_experiment, (_tiny_config | _junk,)),
+    # The source's own checks have their own test; every later argument
+    # is junk or valid.
+    "ExperimentConfig": (
+        lambda *a: ExperimentConfig(SamplerConfig(ImpartialCulture(0.5), 6, 4, 0), *a),
+        (st.just((2,)) | _junk, st.just(1) | _junk,
+         st.sampled_from((("best",), ("lex-better", "best"))) | _junk,
+         st.just("zero-plus") | _junk, st.just(0) | _junk)),
     "aggregate": (aggregate, (st.lists(_row | _junk, max_size=4) | _junk,)),
     "nearest_rank": (nearest_rank, (
         st.lists(st.integers(0, 9), max_size=4).map(sorted) | st.lists(_junk, max_size=3) | _junk,

@@ -19,6 +19,8 @@ from pavls.samplers import MODELS
 def test_parameter_validation():
     with pytest.raises(SamplerError):
         ImpartialCulture(1.5)
+    with pytest.raises(SamplerError, match="approval probability"):
+        Resampling(1.5, 0.5)
     with pytest.raises(SamplerError):
         Resampling(0.5, -0.1)
     with pytest.raises(SamplerError):
