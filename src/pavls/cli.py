@@ -151,6 +151,8 @@ def _construct(args) -> tuple[
 
 
 def _cmd_construct(args) -> int:
+    if args.gamma is not None and args.family != "hardened":
+        raise PavlsError(f"family {args.family!r} takes no --gamma")
     labeled, seq, initial = _construct(args)
     if args.sequence_out and seq is None:
         raise PavlsError(f"family {args.family!r} has no associated sequence")
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", type=int, default=1)
     p.add_argument("-t", type=int, default=1)
     p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--gamma", help="blocker sizing bound (fraction; default 8k^2(k+1))")
+    p.add_argument("--gamma", help="hardened blocker sizing bound (fraction; default 8k^2(k+1))")
     p.add_argument("-o", "--output", help="election output file (default stdout)")
     p.add_argument("--labels-out", help="JSON sidecar with label maps")
     p.add_argument("--sequence-out", help="write the family's swap sequence")

@@ -36,6 +36,7 @@ from .core import (
     BallotClass,
     Election,
     Epsilon,
+    InvalidElectionError,
     PavlsError,
     Swap,
     inverse_sequence,
@@ -65,6 +66,12 @@ class LabeledElection:
     candidate_labels: dict[str, int]
     voter_groups: dict[str, frozenset[int]]
     counterpart: Optional[dict[int, int]] = None
+
+    def __post_init__(self):
+        # Junk here would surface as a bare AttributeError in whatever
+        # reads the election first.
+        if not isinstance(self.election, Election):
+            raise InvalidElectionError(f"election must be an Election, got {self.election!r}")
 
     def candidate(self, label: str) -> int:
         try:

@@ -101,16 +101,28 @@ def parse_native(text: str) -> Election:
     if m < 1 or k < 0 or k > m:
         raise FormatError(f"bad sizes m={m}, k={k}", line=1)
 
+    # Each canonical spelling str(c) to c.  A valid file has a cand line
+    # per candidate, so c < len(lines) bounds the table by the text and a
+    # huge declared m allocates nothing.
+    canonical = {str(c): c for c in range(min(m, len(lines)))}
+
     def read_ballot(body: str, lineno: int) -> frozenset[int]:
+        tokens = body.split()
         try:
-            entries = list(map(int, body.split()))
-        except ValueError:
-            raise FormatError("non-integer ballot entry", line=lineno)
-        # Whole-line tests in C; the first bad entry is named only on
-        # failure, and a range error goes before an order error.
-        if entries and (min(entries) < 0 or max(entries) >= m):
-            bad = next(c for c in entries if not 0 <= c < m)
-            raise FormatError(f"ballot entry {bad} out of range [0, {m})", line=lineno)
+            # The table's values lie in [0, m), so no range test is due.
+            entries = list(map(canonical.__getitem__, tokens))
+        except KeyError:
+            # Any other spelling int() reads (``+1``, ``01``, past the
+            # table), or an error, takes the conversion and range test.
+            try:
+                entries = list(map(int, tokens))
+            except ValueError:
+                raise FormatError("non-integer ballot entry", line=lineno)
+            # Whole-line tests in C; the first bad entry is named only on
+            # failure, and a range error goes before an order error.
+            if entries and (min(entries) < 0 or max(entries) >= m):
+                bad = next(c for c in entries if not 0 <= c < m)
+                raise FormatError(f"ballot entry {bad} out of range [0, {m})", line=lineno)
         # Sorted without a repeat is strictly increasing.
         ballot = frozenset(entries)
         if len(ballot) < len(entries) or entries != sorted(entries):

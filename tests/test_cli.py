@@ -358,6 +358,12 @@ def test_construct_input_errors_exit_code(tmp_path, capsys):
                 capsys, ["construct", "--family", family, "-k", "5", "-o", str(e_path),
                          flag, str(seq_path)], message)
             assert not e_path.exists() and not seq_path.exists()
+    # --gamma sizes only the hardened blockers; elsewhere it was ignored.
+    for family in ("warmup", "f", "e", "et", "layered"):
+        _assert_input_error(
+            capsys, ["construct", "--family", family, "-k", "8", "--gamma", "1/2",
+                     "-o", str(e_path)], "takes no --gamma")
+        assert not e_path.exists()
 
 
 def _exit_code(argv):

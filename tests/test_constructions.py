@@ -14,6 +14,7 @@ from pavls import (
     HardenedParams,
     InvalidCommitteeError,
     InvalidElectionError,
+    LabeledElection,
     LayeredParams,
     PavlsError,
     Swap,
@@ -86,6 +87,17 @@ def test_warmup_small_sizes():
     unsized = replace(lab, election=lab.election.with_committee_size(None))
     with pytest.raises(InvalidCommitteeError, match="no committee size"):
         warmup_initial_committee(unsized)
+
+
+# The last is a LabeledElection where its Election belongs.
+@pytest.mark.parametrize("election", [None, "x", (), warmup_election(4)])
+def test_labeled_election_needs_an_election(election):
+    # None reached warmup_initial_committee and raised a bare
+    # AttributeError there.
+    with pytest.raises(InvalidElectionError, match="must be an Election"):
+        LabeledElection(election, {}, {})
+    with pytest.raises(InvalidElectionError, match="must be an Election"):
+        replace(warmup_election(4), election=election)
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])

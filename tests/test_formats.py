@@ -18,6 +18,7 @@ from pavls import (
     serialize_native,
     write_csv,
 )
+from pavls.formats import _weighted
 
 
 def test_native_round_trip(fig1b):
@@ -190,6 +191,147 @@ def test_parse_native_mutations_raise_or_round_trip(text):
     except PavlsError:
         return
     assert parse_native(serialize_native(e)) == e
+
+
+def _reference_parse_native(text):
+    """``parse_native`` as it read a ballot line before its table of
+    canonical spellings: ``int()`` on every entry, then the range test."""
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError("empty input")
+    header = lines[0].split()
+    if len(header) != 4 or header[0] != "pavls":
+        raise FormatError(f"bad header {lines[0]!r}", line=1)
+    try:
+        version, m, k = int(header[1]), int(header[2]), int(header[3])
+    except ValueError:
+        raise FormatError(f"non-integer header field in {lines[0]!r}", line=1)
+    if version != 1:
+        raise FormatError(f"unsupported format version {version}", line=1)
+    if m < 1 or k < 0 or k > m:
+        raise FormatError(f"bad sizes m={m}, k={k}", line=1)
+
+    def read_ballot(body, lineno):
+        try:
+            entries = list(map(int, body.split()))
+        except ValueError:
+            raise FormatError("non-integer ballot entry", line=lineno)
+        if entries and (min(entries) < 0 or max(entries) >= m):
+            bad = next(c for c in entries if not 0 <= c < m)
+            raise FormatError(f"ballot entry {bad} out of range [0, {m})", line=lineno)
+        ballot = frozenset(entries)
+        if len(ballot) < len(entries) or entries != sorted(entries):
+            raise FormatError("ballot entries must be strictly increasing", line=lineno)
+        return ballot
+
+    names, classes = {}, []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("cand "):
+            parts = line.split(maxsplit=2)
+            if len(parts) != 3:
+                raise FormatError("cand line needs an index and a name", line=lineno)
+            try:
+                idx = int(parts[1])
+            except ValueError:
+                raise FormatError(f"bad candidate index {parts[1]!r}", line=lineno)
+            if not 0 <= idx < m:
+                raise FormatError(f"candidate index {idx} out of range [0, {m})", line=lineno)
+            if idx in names:
+                raise FormatError(f"duplicate candidate index {idx}", line=lineno)
+            names[idx] = parts[2]
+        elif line.startswith("ballot "):
+            weight, ballot = _weighted(line[len("ballot "):], lineno, read_ballot)
+            classes.append(BallotClass(ballot, weight))
+        else:
+            raise FormatError(f"unrecognized line {line!r}", line=lineno)
+    if len(names) < m:
+        missing = next(i for i in range(m) if i not in names)
+        raise FormatError(f"candidate {missing} never declared")
+    if not classes:
+        raise FormatError("no ballot lines")
+    return Election(tuple(names[i] for i in range(m)), tuple(classes), None if k == 0 else k)
+
+
+def _parsed(parse, text):
+    """The election, or the refusal's message and line."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return ("refused", str(exc), exc.line)
+
+
+@st.composite
+def _respelled_native(draw):
+    # A valid text whose ballot bodies take up to four edits: text of the
+    # mutation alphabet plus a non-ASCII digit and a tab, or an entry
+    # near m or the line count.  The header may declare more candidates
+    # than the text has lines, which cuts the reader's spelling table
+    # short of m.
+    e = draw(_elections())
+    lines = serialize_native(e).splitlines()
+    entries = st.integers(-1, len(lines) + 12).map(" {}".format)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(1 + e.m, len(lines) - 1))
+        start = draw(st.integers(lines[i].find(":") + 1, len(lines[i])))
+        stop = draw(st.integers(start, min(len(lines[i]), start + 4)))
+        edit = draw(st.text("0123456789 +-_:\nabcdlpvs\u0663\t", max_size=4) | entries)
+        lines[i] = lines[i][:start] + edit + lines[i][stop:]
+    body = "\n".join(lines[1:]) + "\n"
+    if draw(st.booleans()):
+        k = lines[0].split()[3]
+        lines[0] = f"pavls 1 {len(body.splitlines()) + 1 + draw(st.integers(0, 12))} {k}"
+    return lines[0] + "\n" + body
+
+
+@settings(max_examples=600, deadline=None)
+@given(_respelled_native())
+def test_parse_native_reads_as_int_reader(text):
+    assert _parsed(parse_native, text) == _parsed(_reference_parse_native, text)
+
+
+def _one_ballot(body, m=4, declared=None):
+    """A text declaring m candidates, with cand lines for the first
+    ``declared`` of them (all by default), then ``ballot 1: <body>``."""
+    declared = m if declared is None else declared
+    cands = "".join(f"cand {i} c{i}\n" for i in range(declared))
+    return f"pavls 1 {m} 0\n{cands}ballot 1: {body}\n"
+
+
+# Each ballot text with its parse at the int()-based reader: the one
+# class's approvals, or a refusal's message and line.
+_BALLOT_SPELLINGS = [
+    (_one_ballot(""), frozenset()),
+    (_one_ballot("0 1 2 3"), frozenset({0, 1, 2, 3})),
+    (_one_ballot("+1"), frozenset({1})),
+    (_one_ballot("01"), frozenset({1})),
+    (_one_ballot("-0"), frozenset({0})),
+    (_one_ballot("\u0663"), frozenset({3})),
+    (_one_ballot("0\t2"), frozenset({0, 2})),
+    (_one_ballot("1_0", m=12), frozenset({10})),
+    (_one_ballot("0 x"), ("refused", "line 6: non-integer ballot entry", 6)),
+    (_one_ballot("1 0"), ("refused", "line 6: ballot entries must be strictly increasing", 6)),
+    (_one_ballot("1 1"), ("refused", "line 6: ballot entries must be strictly increasing", 6)),
+    (_one_ballot("3 \u0663"), ("refused", "line 6: ballot entries must be strictly increasing", 6)),
+    (_one_ballot("0 4"), ("refused", "line 6: ballot entry 4 out of range [0, 4)", 6)),
+    (_one_ballot("7 0"), ("refused", "line 6: ballot entry 7 out of range [0, 4)", 6)),
+    (_one_ballot("-1"), ("refused", "line 6: ballot entry -1 out of range [0, 4)", 6)),
+    (_one_ballot("0 1_000"), ("refused", "line 6: ballot entry 1000 out of range [0, 4)", 6)),
+    # Three lines spell 0, 1 and 2 in the table; 50 and 100 lie past it.
+    (_one_ballot("0 50", m=100, declared=1), ("refused", "candidate 1 never declared", None)),
+    (_one_ballot("0 100", m=100, declared=1),
+     ("refused", "line 3: ballot entry 100 out of range [0, 100)", 3)),
+]
+
+
+@pytest.mark.parametrize("text,expected", _BALLOT_SPELLINGS)
+def test_native_ballot_spellings_pinned(text, expected):
+    result = _parsed(parse_native, text)
+    if isinstance(result, Election):
+        result = result.ballot_classes[0].approves
+    assert result == expected
 
 
 PREFLIB_SAMPLE = """\

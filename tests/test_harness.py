@@ -13,6 +13,7 @@ from pavls import (
     Euclidean,
     ImpartialCulture,
     InvalidEpsilonError,
+    LabeledElection,
     PavlsError,
     Resampling,
     SamplerConfig,
@@ -22,6 +23,8 @@ from pavls import (
     run_experiment,
     sample,
     select_initial_committee,
+    warmup_election,
+    warmup_initial_committee,
     write_csv,
 )
 from pavls import harness
@@ -286,6 +289,7 @@ def test_experiment_records_a_failed_rule(monkeypatch):
 
 _E4 = Election(("a", "b", "c", "d"),
                (BallotClass(frozenset({0, 1}), 2), BallotClass(frozenset({2}), 1)), 2)
+_W4 = warmup_election(4)
 _ROW = {"model": "m", "k": 2, "rule": "best", "rep": 0, "seed": 0,
         "swaps": 1, "comparisons": 4, "error": ""}
 # Each call raised a bare TypeError, AttributeError or KeyError, or
@@ -356,6 +360,12 @@ _INPUT_ENTRY_POINTS = {
         st.fractions(-1, 2, max_denominator=4) | _junk)),
     "brute_force_optimum": (brute_force_optimum, (st.just(_E4) | _junk,
                                                    st.integers(-1, 8) | _junk)),
+    # A LabeledElection built from junk fields, then read by a
+    # construction that takes one.
+    "LabeledElection": (
+        lambda *a: warmup_initial_committee(LabeledElection(*a)),
+        (st.sampled_from((_E4, _W4.election)) | _junk,
+         st.just(_W4.candidate_labels) | _junk, st.just(_W4.voter_groups) | _junk)),
 }
 
 
