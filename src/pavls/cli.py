@@ -119,7 +119,8 @@ def _cmd_sample(args) -> int:
 
 
 def _gamma(text: Optional[str]) -> Optional[Fraction]:
-    if not text:
+    # Only an absent --gamma is None: "" is no fraction, not the default.
+    if text is None:
         return None
     try:
         return Fraction(text)
@@ -240,7 +241,18 @@ def _cmd_experiment(args) -> int:
     return 1 if failures else 0
 
 
+# The options each oracle mode never reads; each defaults to None.
+_ORACLE_UNREAD = {
+    "optimum": ("--committee", "--levels"),
+    "local-opt": ("--levels",),
+    "gain-search": ("--election", "--approve-categories", "-k", "--committee"),
+}
+
+
 def _cmd_oracle(args) -> int:
+    for flag in _ORACLE_UNREAD[args.mode]:
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
+            raise PavlsError(f"--mode {args.mode} takes no {flag}")
     if args.mode == "optimum":
         election = _load_election(args)
         report = brute_force_optimum(election, args.cap)
@@ -343,6 +355,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     # An output file or directory that cannot be written is an input
     # error, like a file that cannot be read: exit 2, not a traceback.
     try:
+        # Only the PrefLib parser reads --approve-categories.
+        if getattr(args, "approve_categories", None) is not None and args.format != "preflib-cat":
+            raise PavlsError("--approve-categories needs --format preflib-cat")
         return args.func(args)
     except (PavlsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
 class PavlsError(Exception):
@@ -73,17 +73,21 @@ class Swap(NamedTuple):
     in_candidate: int
 
 
+def _iter_swaps(seq: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """An iterator over ``seq``; :class:`InvalidSwapError` if it is not iterable."""
+    try:
+        return iter(seq)
+    except TypeError:
+        raise InvalidSwapError(f"swap sequence must be iterable, got {seq!r}") from None
+
+
 def inverse_sequence(seq: Iterable[tuple[int, int]]) -> list[Swap]:
     """Reverse the sequence and flip each swap; a step may be any pair.
 
     A ``seq`` that is not iterable, or a step that is not a pair, raises
     :class:`InvalidSwapError`."""
-    try:
-        steps = iter(seq)
-    except TypeError:
-        raise InvalidSwapError(f"swap sequence must be iterable, got {seq!r}") from None
     inverse = []
-    for step in reversed(list(steps)):
+    for step in reversed(list(_iter_swaps(seq))):
         try:
             a, b = step
         except (TypeError, ValueError):
@@ -230,7 +234,7 @@ class Election:
         # scale = lcm(1..k+1) makes every coefficient an integer; the
         # spare slot h = k+1 is never occupied, so its values are never read.
         k = self.require_committee_size()
-        scale = math.lcm(*range(1, k + 2))
+        scale = lcm_range(k + 1)
         per_voter = [scale // d for d in range(1, k + 2)]
         up: list[int] = []
         down: list[int] = []
@@ -444,6 +448,17 @@ def check_state(election: Election, state: SatisfactionState) -> None:
         raise PavlsError(f"not a SatisfactionState of this election: a {type(state).__name__}")
 
 
+def _need(election: Election, state: SatisfactionState, epsilon: Epsilon) -> tuple[int, int]:
+    """(scale, need) for a scan or replay of ``state``, after checking the
+    threshold and the state: delta numerators are on the common scale
+    lcm(1..k+1), and a numerator reaches epsilon iff it is at least
+    need = ceil(epsilon * scale)."""
+    check_epsilon(epsilon)
+    check_state(election, state)
+    scale = election._cell_coefficients[0]
+    return scale, math.ceil(epsilon.value * scale)
+
+
 def check_swap(state: SatisfactionState, a: int, b: int) -> None:
     """Raise :class:`InvalidSwapError` unless ``a`` and ``b`` are exact ints
     (not bools), ``a`` is seated and ``b`` is a candidate outside the
@@ -600,11 +615,7 @@ def validate_sequence(
     state = SatisfactionState(election, start)
     deltas: list[Fraction] = []
     first_invalid: Optional[int] = None
-    try:
-        steps = enumerate(seq)
-    except TypeError:
-        raise InvalidSwapError(f"swap sequence must be iterable, got {seq!r}") from None
-    for idx, swap in steps:
+    for idx, swap in enumerate(_iter_swaps(seq)):
         # A step that is not a pair is as invalid as one whose candidates
         # do not fit the committee: delta's check_swap refuses (None, None).
         try:
@@ -621,14 +632,13 @@ def validate_sequence(
     # delta interns the step values, so the steps hold few distinct
     # objects: each is checked and put on the common scale once, and the
     # sum and the minimum are taken in ints (every delta's denominator
-    # divides the scale).
-    scale = election._cell_coefficients[0]
+    # divides the scale); the minimum takes the pickers' integer test.
+    scale, need = _need(election, state, epsilon)
     nums = {id(d): d for d in deltas}
     for key, d in nums.items():
         assert_quantized(election, d)
         nums[key] = d.numerator * (scale // d.denominator)
-    eps = epsilon.value
-    good = not nums or min(nums.values()) * eps.denominator >= eps.numerator * scale
+    good = not nums or min(nums.values()) >= need
     return SequenceCertificate(
         structurally_valid=valid,
         first_invalid_step=first_invalid,
@@ -636,5 +646,5 @@ def validate_sequence(
         certified_good=valid and good,
         total_gain=Fraction(sum(map(nums.__getitem__, map(id, deltas))), scale),
         final_committee=frozenset(state.committee),
-        epsilon=eps,
+        epsilon=epsilon.value,
     )

@@ -84,6 +84,15 @@ def _weighted(
 
 
 def parse_native(text: str) -> Election:
+    """The election a native text spells (see :func:`serialize_native`).
+
+    A ballot entry is whatever ``int`` reads.  Entries are looked up in
+    one table per file, from each canonical spelling ``str(c)`` to ``c``;
+    a line holding any other spelling (``+1``, ``01``, ``٣``, an entry
+    past the table) takes the ``int`` conversion and range test, so all
+    spellings read alike and each error keeps its message, line and
+    order.
+    """
     if not isinstance(text, str):
         raise FormatError(f"native text must be a str, got {type(text).__name__}")
     lines = text.splitlines()

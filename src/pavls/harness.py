@@ -148,7 +148,6 @@ def run_seed(base_seed: int, k_index: int, repetitions: int, rep: int) -> int:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     runs: list[dict]
     aggregates: list[dict]
 
@@ -269,4 +268,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     "model": model, "k": k, "rule": rule_name, "rep": rep,
                     "seed": seed, "swaps": swaps, "comparisons": comparisons, "error": error,
                 })
-    return ExperimentResult(config=config, runs=rows, aggregates=aggregate(rows))
+    return ExperimentResult(runs=rows, aggregates=aggregate(rows))

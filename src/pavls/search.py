@@ -8,7 +8,6 @@ are the experiments' cost metric and are sequential-deterministic.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,10 +21,10 @@ from .core import (
     SatisfactionState,
     Swap,
     _Scan,
+    _need,
     apply_swap,
     assert_quantized,
     check_epsilon,
-    check_state,
     delta,
 )
 
@@ -48,7 +47,7 @@ def _scan(
 ) -> Iterator[tuple[int, int, int]]:
     """Yield (outgoing, incoming, delta numerator) for every swap in
     lexicographic (incoming, outgoing) order under ``order`` (index order
-    if None); the numerators are on the scale of :func:`_need`.
+    if None); the numerators are on the scale of :func:`core._need`.
 
     The order is checked here, once, and the state by the picker; each
     :func:`delta` call then gets this scan's own sums object in place
@@ -65,17 +64,6 @@ def _scan(
         if b not in committee:
             for a in outs:
                 yield a, b, delta(election, scan, a, b)
-
-
-def _need(election: Election, state: SatisfactionState, epsilon: Epsilon) -> tuple[int, int]:
-    """(scale, need) for a picker's scan of ``state``, after checking the
-    threshold and the state: delta numerators are on the common scale
-    lcm(1..k+1), and a numerator reaches epsilon iff it is at least
-    need = ceil(epsilon * scale)."""
-    check_epsilon(epsilon)
-    check_state(election, state)
-    scale = election._cell_coefficients[0]
-    return scale, math.ceil(epsilon.value * scale)
 
 
 def next_swap_lex(

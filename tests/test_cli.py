@@ -344,7 +344,8 @@ def test_preflib_unmentioned_alternatives_exit_code(tmp_path, capsys):
 
 
 def test_construct_input_errors_exit_code(tmp_path, capsys):
-    for gamma in ("abc", "1/0"):
+    # An empty --gamma built the default-gamma election and exited 0.
+    for gamma in ("abc", "1/0", "", " "):
         _assert_input_error(
             capsys, ["construct", "--family", "hardened", "-k", "21", "--gamma", gamma],
             "gamma must be a fraction")
@@ -364,6 +365,27 @@ def test_construct_input_errors_exit_code(tmp_path, capsys):
             capsys, ["construct", "--family", family, "-k", "8", "--gamma", "1/2",
                      "-o", str(e_path)], "takes no --gamma")
         assert not e_path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--election", "MISSING", "--approve-categories", "2"],
+     "--approve-categories needs --format preflib-cat"),
+    (["oracle", "--mode", "optimum", "--election", "MISSING", "--committee", "0,1"],
+     "--mode optimum takes no --committee"),
+    (["oracle", "--mode", "local-opt", "--election", "MISSING", "--committee", "0,1",
+      "--levels", "2"], "--mode local-opt takes no --levels"),
+    (["oracle", "--mode", "gain-search", "--election", "MISSING"],
+     "--mode gain-search takes no --election"),
+    (["oracle", "--mode", "gain-search", "--format", "preflib-cat", "--approve-categories", "1"],
+     "--mode gain-search takes no --approve-categories"),
+    (["oracle", "--mode", "gain-search", "-k", "2"], "--mode gain-search takes no -k"),
+], ids=["approve-categories", "oracle-committee", "oracle-levels", "gain-search-election",
+        "gain-search-approve-categories", "gain-search-k"])
+def test_unread_options_exit_code(tmp_path, capsys, argv, message):
+    # Each option was ignored and the command exited 0.  The election
+    # file does not exist: the option is refused before any file is read.
+    missing = str(tmp_path / "missing.pavls")
+    _assert_input_error(capsys, [missing if a == "MISSING" else a for a in argv], message)
 
 
 def _exit_code(argv):
@@ -446,7 +468,8 @@ def test_oracle_exit_codes(small_election_path, mode, with_election, k, committe
 @given(
     family=st.sampled_from(("warmup", "f", "e", "et", "layered", "hardened")),
     k=st.integers(-1, 9) | st.just(21), j=st.integers(-1, 4), t=st.integers(-1, 3),
-    levels=st.integers(-1, 3), gamma=st.none() | st.sampled_from(("abc", "1/0", "0", "-3", "5/2")),
+    levels=st.integers(-1, 3),
+    gamma=st.none() | st.sampled_from(("abc", "1/0", "0", "-3", "5/2", "")),
     sequence_out=st.booleans(), initial_out=st.booleans(),
 )
 def test_construct_exit_codes(family, k, j, t, levels, gamma, sequence_out, initial_out):

@@ -515,6 +515,7 @@ def test_scan_sums_match_one_pass_delta(walk):
 @given(walk=_walks(), perm=st.none() | st.permutations(range(8)))
 @example(walk=(_ZERO_GAIN, (0,), []), perm=None)
 @example(walk=(_ZERO_GAIN, (0,), [(0, 0), (0, 0)]), perm=None)
+@example(walk=(_ZERO_GAIN, (0,), [(0, 1)]), perm=None)  # one step, gaining 1
 def test_integer_threshold_tests_match_fraction_reference(selector, walk, perm):
     """The pickers' and the replay's integer tests agree with plain
     Fraction comparisons, in index order or in a drawn candidate order;
@@ -571,6 +572,12 @@ def test_integer_threshold_tests_match_fraction_reference(selector, walk, perm):
     assert cert.structurally_valid and cert.step_deltas == gains
     assert cert.total_gain == sum(gains, Fraction(0))
     assert cert.certified_good == all(d >= eps.value for d in gains)
+    # The replay's test at its boundary: epsilon at each distinct positive
+    # step gain certifies that step, and one scale unit above it does not.
+    for g in {d for d in gains if d > 0}:
+        for threshold in (g, g + Fraction(1, scale)):
+            cert = validate_sequence(e, committee, swaps, Epsilon(threshold))
+            assert cert.certified_good == all(d >= threshold for d in gains)
 
 
 # ---------------------------------------------------------------------------
