@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional
 from . import constructions as cons
 from .core import Election, Epsilon, PavlsError, Swap, pav_score, validate_sequence
 from .formats import FormatError, parse_native, parse_preflib_categorical, serialize_native
-from .harness import RULE_NAMES, ExperimentConfig, run_experiment, select_initial_committee
+from .harness import ExperimentConfig, run_experiment, select_initial_committee
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_force_optimum, is_locally_optimal
 from .samplers import MODELS, SamplerConfig, sample
 from .search import RULES, run as run_search
@@ -95,19 +95,37 @@ def _add_election_args(
                    help="zero-plus | threshold | a fraction like 28/3")
 
 
+def _option(args, flag: str, default=None):
+    """The value of an option that the parser defaults to None, or
+    ``default`` if it is absent."""
+    value = getattr(args, flag.lstrip("-").replace("-", "_"))
+    return default if value is None else value
+
+
+# The model options and the value each takes when absent; each model
+# reads those named after its dataclass fields.  The parser defaults
+# them to None, so an option that nothing reads can be refused.
+_MODEL_DEFAULTS = {"-p": 0.5, "--phi": 0.5, "-d": 2, "-r": 0.25}
+
+
 def _add_model_args(p: argparse.ArgumentParser, required: bool) -> None:
-    # Each model reads its dataclass fields from the options of the same name.
     p.add_argument("--model", choices=tuple(MODELS), required=required)
-    p.add_argument("-p", type=float, default=0.5, help="approval probability")
-    p.add_argument("--phi", type=float, default=0.5, help="resampling probability")
-    p.add_argument("-d", type=int, default=2, help="Euclidean dimension")
-    p.add_argument("-r", type=float, default=0.25, help="Euclidean radius")
+    p.add_argument("-p", type=float, help="approval probability")
+    p.add_argument("--phi", type=float, help="resampling probability")
+    p.add_argument("-d", type=int, help="Euclidean dimension")
+    p.add_argument("-r", type=float, help="Euclidean radius")
 
 
 def _sampler_config(args, seed: int) -> SamplerConfig:
     model = MODELS[args.model]
-    params = (getattr(args, name) for name in model.__dataclass_fields__)
-    return SamplerConfig(model(*params), args.n, args.m, seed)
+    params = {}
+    for flag, default in _MODEL_DEFAULTS.items():
+        if flag.lstrip("-") in model.__dataclass_fields__:
+            params[flag.lstrip("-")] = _option(args, flag, default)
+        elif _option(args, flag) is not None:
+            raise PavlsError(f"model {args.model!r} takes no {flag}")
+    # sample requires -n and -m; experiment defaults them.
+    return SamplerConfig(model(**params), _option(args, "-n", 100), _option(args, "-m", 20), seed)
 
 
 def _cmd_sample(args) -> int:
@@ -215,8 +233,13 @@ def _cmd_experiment(args) -> int:
     if args.election and args.model:
         raise PavlsError("experiment takes --election or --model, not both")
     if args.election:
+        for flag in (*_MODEL_DEFAULTS, "-n", "-m"):
+            if _option(args, flag) is not None:
+                raise PavlsError(f"experiment --election takes no {flag}")
         source = _load_election(args)
     elif args.model:
+        if args.format == "preflib-cat":
+            raise PavlsError("experiment --model takes no --format preflib-cat")
         source = _sampler_config(args, 0)
     else:
         raise PavlsError("experiment needs --election or --model")
@@ -251,7 +274,7 @@ _ORACLE_UNREAD = {
 
 def _cmd_oracle(args) -> int:
     for flag in _ORACLE_UNREAD[args.mode]:
-        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
+        if _option(args, flag) is not None:
             raise PavlsError(f"--mode {args.mode} takes no {flag}")
     if args.mode == "optimum":
         election = _load_election(args)
@@ -321,18 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run local search on an election")
     _add_election_args(p)
     p.add_argument("--initial", help="start committee file (default: max approval)")
-    p.add_argument("--rule", choices=RULE_NAMES, default="lex-better")
+    p.add_argument("--rule", choices=tuple(RULES), default="lex-better")
     p.add_argument("--step-cap", type=int)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("experiment", help="run a seeded experiment grid")
     _add_election_args(p, required=False, with_k=False)
     _add_model_args(p, required=False)
-    p.add_argument("-n", type=int, default=100)
-    p.add_argument("-m", type=int, default=20)
+    p.add_argument("-n", type=int)
+    p.add_argument("-m", type=int)
     p.add_argument("--k-values", required=True, help="comma-separated committee sizes")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--rules", default=",".join(RULE_NAMES))
+    p.add_argument("--rules", default=",".join(RULES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment, k=None)

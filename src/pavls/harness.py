@@ -24,8 +24,6 @@ from .formats import write_csv
 from .samplers import SamplerConfig, sample
 from .search import RULES, run
 
-RULE_NAMES = tuple(RULES)
-
 RUNS_COLUMNS = ("model", "k", "rule", "rep", "seed", "swaps", "comparisons", "error")
 AGGREGATE_COLUMNS = (
     "model", "k", "rule", "repetitions",
@@ -55,7 +53,7 @@ class ExperimentConfig:
     source: Union[SamplerConfig, Election]
     k_values: tuple[int, ...]
     repetitions: int = 1
-    rules: tuple[str, ...] = RULE_NAMES
+    rules: tuple[str, ...] = tuple(RULES)
     epsilon: Union[str, Fraction] = "zero-plus"  # see Epsilon.check_selector
     base_seed: int = 0
 
@@ -91,9 +89,9 @@ class ExperimentConfig:
                 f"{cells} (k, repetition) cells exceed {SEED_STRIDE}; their seeds "
                 "would collide with those of the next base seed"
             )
-        bad = [r for r in self.rules if r not in RULE_NAMES]
+        bad = [r for r in self.rules if r not in RULES]
         if bad:
-            raise HarnessError(f"unknown rule {bad[0]!r}; choose from {RULE_NAMES}")
+            raise HarnessError(f"unknown rule {bad[0]!r}; choose from {tuple(RULES)}")
         if not self.rules:
             raise HarnessError("need at least one pivoting rule")
         # A repeated rule or k would run its cells twice, and aggregate.csv
@@ -227,7 +225,8 @@ def aggregate(rows: Iterable[dict]) -> list[dict]:
 
 def _cell_outcomes(config: ExperimentConfig, k: int, seed: int) -> list[tuple]:
     """(swaps, comparisons, error) of each rule on one (k, seed) cell; a
-    set-up failure is every rule's error."""
+    set-up :class:`PavlsError` is every rule's error.  Any other exception
+    is a fault, not an outcome, and propagates."""
     try:
         if isinstance(config.source, Election):
             election = config.source.with_committee_size(k)
@@ -235,14 +234,14 @@ def _cell_outcomes(config: ExperimentConfig, k: int, seed: int) -> list[tuple]:
             election = sample(replace(config.source, seed=seed)).with_committee_size(k)
         initial = select_initial_committee(election)
         epsilon = Epsilon.resolve(config.epsilon, election)
-    except (PavlsError, ValueError) as exc:
+    except PavlsError as exc:
         return [("", "", str(exc))] * len(config.rules)
     outcomes = []
     for rule_name in config.rules:
         try:
             trace = run(election, initial, epsilon, RULES[rule_name])
             outcomes.append((trace.swaps, trace.comparisons, ""))
-        except (PavlsError, ValueError) as exc:
+        except PavlsError as exc:
             outcomes.append(("", "", str(exc)))
     return outcomes
 
@@ -252,8 +251,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Per repetition the election is sampled once (or the fixed election
     reused) and every rule runs on it from the max-approval committee.
-    Failures are recorded in the row's error column; the experiment
-    continues.
+    A :class:`PavlsError`, such as a k the election cannot seat, is
+    recorded in the row's error column and the experiment continues;
+    any other exception propagates.
     """
     if not isinstance(config, ExperimentConfig):
         raise HarnessError(f"not an ExperimentConfig: {config!r}")

@@ -112,19 +112,16 @@ def next_swap_best(
 
 @dataclass(frozen=True)
 class PivotRule:
-    """A pivoting rule, whose :meth:`pick` chooses a run's next swap.  ``order``
-    is a total order over all candidates (a permutation of range(m)); None
-    means index order."""
+    """The base of the two pivoting rules: it holds and checks ``order``, a
+    total order over all candidates (a permutation of range(m)); None
+    means index order.  Each rule's ``pick`` chooses a run's next swap as
+    (swap, delta, comparisons-used)."""
 
     order: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.order is not None:  # m = len(order); check_order refuses a non-sequence
             check_order(self.order, len(self.order) if isinstance(self.order, Sequence) else 0)
-
-    def pick(self, election: Election, state: SatisfactionState, epsilon: Epsilon):
-        """The next swap as (swap, delta, comparisons-used), like :func:`next_swap_lex`."""
-        raise NotImplementedError
 
 
 class LexicographicBetterResponse(PivotRule):
@@ -180,7 +177,10 @@ def run(
     rule: PivotRule,
     step_cap: Optional[int] = None,
 ) -> RunTrace:
-    """Run epsilon-local-search from ``initial`` under the given rule.
+    """Run epsilon-local-search from ``initial`` under the given rule, a
+    :class:`LexicographicBetterResponse` or a :class:`BestResponse`;
+    anything else, a bare :class:`PivotRule` included, raises
+    :class:`InvalidRuleError` before the state is built.
 
     ``step_cap`` bounds the number of executed swaps (None: no bound); a
     run that reaches it stops with ``terminated=False``.
@@ -188,7 +188,7 @@ def run(
     if step_cap is not None and (type(step_cap) is not int or step_cap < 0):
         raise InvalidStepCapError(f"step cap must be None or an int >= 0, got {step_cap!r}")
     check_epsilon(epsilon)
-    if not isinstance(rule, PivotRule):
+    if not isinstance(rule, (LexicographicBetterResponse, BestResponse)):
         raise InvalidRuleError(f"not a pivot rule: {rule!r}")
     state = SatisfactionState(election, initial)
     if rule.order is not None:

@@ -379,13 +379,30 @@ def test_construct_input_errors_exit_code(tmp_path, capsys):
     (["oracle", "--mode", "gain-search", "--format", "preflib-cat", "--approve-categories", "1"],
      "--mode gain-search takes no --approve-categories"),
     (["oracle", "--mode", "gain-search", "-k", "2"], "--mode gain-search takes no -k"),
+    (["experiment", "--model", "ic", "-n", "10", "-m", "4", "--k-values", "2",
+      "--format", "preflib-cat", "--approve-categories", "2", "--out", "OUT"],
+     "experiment --model takes no --format preflib-cat"),
+    *((["experiment", "--election", "MISSING", flag, value, "--k-values", "2", "--out", "OUT"],
+       f"experiment --election takes no {flag}")
+      for flag, value in (("-p", "0.9"), ("--phi", "0.9"), ("-d", "1"), ("-r", "0.1"),
+                          ("-n", "10"), ("-m", "4"))),
+    (["sample", "--model", "ic", "-n", "5", "-m", "4", "--phi", "0.9"],
+     "model 'ic' takes no --phi"),
+    (["sample", "--model", "euclidean", "-n", "5", "-m", "4", "-p", "0.9"],
+     "model 'euclidean' takes no -p"),
+    (["experiment", "--model", "resampling", "-d", "1", "--k-values", "2", "--out", "OUT"],
+     "model 'resampling' takes no -d"),
 ], ids=["approve-categories", "oracle-committee", "oracle-levels", "gain-search-election",
-        "gain-search-approve-categories", "gain-search-k"])
+        "gain-search-approve-categories", "gain-search-k", "model-preflib-cat",
+        "election-p", "election-phi", "election-d", "election-r", "election-n", "election-m",
+        "ic-phi", "euclidean-p", "resampling-d"])
 def test_unread_options_exit_code(tmp_path, capsys, argv, message):
     # Each option was ignored and the command exited 0.  The election
-    # file does not exist: the option is refused before any file is read.
-    missing = str(tmp_path / "missing.pavls")
-    _assert_input_error(capsys, [missing if a == "MISSING" else a for a in argv], message)
+    # file does not exist: the option is refused before any file is read
+    # (and before the output directory is made).
+    paths = {"MISSING": str(tmp_path / "missing.pavls"), "OUT": str(tmp_path / "out")}
+    _assert_input_error(capsys, [paths.get(a, a) for a in argv], message)
+    assert not (tmp_path / "out").exists()
 
 
 def _exit_code(argv):

@@ -100,8 +100,10 @@ def test_native_skips_blank_lines_between_ballots():
         ("pav 1 2 1\ncand 0 a\ncand 1 b\nballot 1: 0\n", 1),
         ("pavls 2 2 1\ncand 0 a\ncand 1 b\nballot 1: 0\n", 1),
         ("pavls 1 2 3\ncand 0 a\ncand 1 b\nballot 1: 0\n", 1),
+        ("pavls 1 x 1\ncand 0 a\ncand 1 b\nballot 1: 0\n", 1),  # non-integer header field
         ("pavls 1 2 1\ncand 0 a\ncand 0 b\nballot 1: 0\n", 3),
         ("pavls 1 2 1\ncand 0 a\ncand 5 b\nballot 1: 0\n", 3),
+        ("pavls 1 2 1\ncand 0 a\ncand x b\nballot 1: 0\n", 3),  # bad candidate index
         ("pavls 1 2 1\ncand 0 a\ncand 1 b\nballot 0: 0\n", 4),
         ("pavls 1 2 1\ncand 0 a\ncand 1 b\nballot 1: 7\n", 4),
         ("pavls 1 2 1\ncand 0 a\ncand 1 b\nballot 1: 1 0\n", 4),

@@ -284,6 +284,18 @@ def test_experiment_records_a_failed_rule(monkeypatch):
         {(2, "lex-better"), (3, "lex-better")}
 
 
+def test_experiment_propagates_a_fault(monkeypatch):
+    # Only a PavlsError is an outcome; a ValueError from inside a cell is
+    # a fault of the program and was written to runs.csv as an error row.
+    def select_initial_committee(election):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(harness, "select_initial_committee", select_initial_committee)
+    config = ExperimentConfig(SamplerConfig(ImpartialCulture(0.5), 10, 5, 0), (2,))
+    with pytest.raises(ValueError, match="engine fault"):
+        run_experiment(config)
+
+
 # ---------------------------------------------------------------------------
 # Sampler, format, harness and oracle entry points under junk arguments
 

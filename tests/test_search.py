@@ -14,6 +14,7 @@ from pavls import (
     InvalidSwapError,
     LexicographicBetterResponse,
     PavlsError,
+    PivotRule,
     Swap,
     delta,
     is_locally_optimal,
@@ -83,9 +84,13 @@ def test_rule_input_errors_are_pavls_errors(fig1b):
             LexicographicBetterResponse(order)
     with pytest.raises(PavlsError):
         run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), BestResponse((2, 0, 1)))
-    for not_a_rule in ("best", None, BestResponse):
+    # A bare PivotRule only holds an order: it raised NotImplementedError,
+    # and with a step cap of 0 it returned a trace.
+    for not_a_rule in ("best", None, BestResponse, PivotRule()):
         with pytest.raises(InvalidRuleError):
             run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), not_a_rule)
+    with pytest.raises(InvalidRuleError):
+        run(fig1b, {0, 1, 2}, Epsilon.zero_plus(3), PivotRule(), step_cap=0)
 
 
 def test_pickers_check_order_and_state():
