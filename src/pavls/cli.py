@@ -83,7 +83,7 @@ def _add_election_args(
 ) -> None:
     """The election input options and the epsilon selector."""
     p.add_argument("--election", required=required, help="election file")
-    p.add_argument("--format", choices=("native", "preflib-cat"), default="native")
+    p.add_argument("--format", choices=("native", "preflib-cat"))
     p.add_argument(
         "--approve-categories",
         help="comma-separated 1-based category indices counted as approval "
@@ -91,8 +91,7 @@ def _add_election_args(
     )
     if with_k:
         p.add_argument("-k", type=int, help="committee size (overrides the file's)")
-    p.add_argument("--epsilon", default="zero-plus",
-                   help="zero-plus | threshold | a fraction like 28/3")
+    p.add_argument("--epsilon", help="zero-plus | threshold | a fraction like 28/3")
 
 
 def _option(args, flag: str, default=None):
@@ -100,6 +99,19 @@ def _option(args, flag: str, default=None):
     ``default`` if it is absent."""
     value = getattr(args, flag.lstrip("-").replace("-", "_"))
     return default if value is None else value
+
+
+def _refuse_unread(args, flags: Iterable[str], what: str) -> None:
+    """Refuse each of ``flags`` (options the parser defaults to None) that
+    was given, since ``what`` never reads it."""
+    for flag in flags:
+        if _option(args, flag) is not None:
+            raise PavlsError(f"{what} takes no {flag}")
+
+
+def _epsilon(args) -> str:
+    """The --epsilon selector; zero-plus when absent."""
+    return _option(args, "--epsilon", "zero-plus")
 
 
 # The model options and the value each takes when absent; each model
@@ -146,20 +158,32 @@ def _gamma(text: Optional[str]) -> Optional[Fraction]:
         raise cons.ConstructionError(f"gamma must be a fraction, got {text!r}") from None
 
 
+# The options each construct family never reads; each defaults to None.
+_CONSTRUCT_UNREAD = {
+    "warmup": ("-j", "-t", "--levels", "--gamma"),
+    "f": ("-t", "--levels", "--gamma"),
+    "e": ("-t", "--levels", "--gamma"),
+    "et": ("--levels", "--gamma"),
+    "layered": ("-j", "-t", "--gamma"),
+    "hardened": ("-j", "-t"),
+}
+
+
 def _construct(args) -> tuple[
     cons.LabeledElection, Optional[Iterable[Swap]], Optional[frozenset[int]]
 ]:
     fam = args.family
+    j, t, levels = _option(args, "-j", 1), _option(args, "-t", 1), _option(args, "--levels", 2)
     if fam == "warmup":
         labeled = cons.warmup_election(args.k)
         return labeled, cons.warmup_sequence(args.k), cons.warmup_initial_committee(labeled)
     if fam == "f":
-        return cons.f_election(args.j, args.k), None, None
+        return cons.f_election(j, args.k), None, None
     if fam == "e":
-        return cons.e_election(args.j, args.k), None, None
+        return cons.e_election(j, args.k), None, None
     if fam == "et":
-        return cons.e_t_election(args.t, args.j, args.k), None, None
-    params = cons.LayeredParams(levels=args.levels, k=args.k)
+        return cons.e_t_election(t, j, args.k), None, None
+    params = cons.LayeredParams(levels=levels, k=args.k)
     if fam == "layered":
         labeled = cons.layered_election(params)
         seq = cons.iter_x_sequence(params, params.levels, 1)
@@ -170,8 +194,7 @@ def _construct(args) -> tuple[
 
 
 def _cmd_construct(args) -> int:
-    if args.gamma is not None and args.family != "hardened":
-        raise PavlsError(f"family {args.family!r} takes no --gamma")
+    _refuse_unread(args, _CONSTRUCT_UNREAD[args.family], f"family {args.family!r}")
     labeled, seq, initial = _construct(args)
     if args.sequence_out and seq is None:
         raise PavlsError(f"family {args.family!r} has no associated sequence")
@@ -195,7 +218,7 @@ def _cmd_construct(args) -> int:
 def _cmd_certify(args) -> int:
     election = _load_election(args)
     initial = _read_committee(args.initial)
-    eps = Epsilon.resolve(args.epsilon, election)
+    eps = Epsilon.resolve(_epsilon(args), election)
     seq = _read_sequence(args.sequence)
     cert = validate_sequence(election, initial, seq, eps)
     # The replay stops at an invalid step; a malformed line after it is
@@ -218,7 +241,7 @@ def _cmd_run(args) -> int:
         _read_committee(args.initial) if args.initial
         else select_initial_committee(election)
     )
-    eps = Epsilon.resolve(args.epsilon, election)
+    eps = Epsilon.resolve(_epsilon(args), election)
     trace = run_search(election, initial, eps, RULES[args.rule], step_cap=args.step_cap)
     print(f"initial committee: {sorted(trace.initial_committee)}")
     print(f"swaps: {trace.swaps}")
@@ -233,9 +256,7 @@ def _cmd_experiment(args) -> int:
     if args.election and args.model:
         raise PavlsError("experiment takes --election or --model, not both")
     if args.election:
-        for flag in (*_MODEL_DEFAULTS, "-n", "-m"):
-            if _option(args, flag) is not None:
-                raise PavlsError(f"experiment --election takes no {flag}")
+        _refuse_unread(args, (*_MODEL_DEFAULTS, "-n", "-m"), "experiment --election")
         source = _load_election(args)
     elif args.model:
         if args.format == "preflib-cat":
@@ -248,7 +269,7 @@ def _cmd_experiment(args) -> int:
         k_values=tuple(_parse_int_list(args.k_values)),
         repetitions=args.reps,
         rules=tuple(args.rules.split(",")),
-        epsilon=args.epsilon,
+        epsilon=_epsilon(args),
         base_seed=args.seed,
     )
     result = run_experiment(config)
@@ -266,19 +287,18 @@ def _cmd_experiment(args) -> int:
 
 # The options each oracle mode never reads; each defaults to None.
 _ORACLE_UNREAD = {
-    "optimum": ("--committee", "--levels"),
-    "local-opt": ("--levels",),
-    "gain-search": ("--election", "--approve-categories", "-k", "--committee"),
+    "optimum": ("--committee", "--epsilon", "--k-min", "--k-max", "--levels"),
+    "local-opt": ("--cap", "--k-min", "--k-max", "--levels"),
+    "gain-search": ("--election", "--approve-categories", "--format", "-k", "--committee",
+                    "--epsilon", "--cap"),
 }
 
 
 def _cmd_oracle(args) -> int:
-    for flag in _ORACLE_UNREAD[args.mode]:
-        if _option(args, flag) is not None:
-            raise PavlsError(f"--mode {args.mode} takes no {flag}")
+    _refuse_unread(args, _ORACLE_UNREAD[args.mode], f"--mode {args.mode}")
     if args.mode == "optimum":
         election = _load_election(args)
-        report = brute_force_optimum(election, args.cap)
+        report = brute_force_optimum(election, _option(args, "--cap", DEFAULT_ENUMERATION_CAP))
         print(f"enumerated: {report.enumerated}")
         print(f"optimum score: {report.optimum_score}")
         for committee in report.optimum_committees:
@@ -288,7 +308,7 @@ def _cmd_oracle(args) -> int:
         election = _load_election(args)
         if args.committee is None:
             raise PavlsError("--mode local-opt needs --committee")
-        eps = Epsilon.resolve(args.epsilon, election)
+        eps = Epsilon.resolve(_epsilon(args), election)
         committee = _parse_int_list(args.committee)
         flag, witness, gain = is_locally_optimal(election, committee, eps)
         print(f"locally optimal: {flag}")
@@ -296,9 +316,8 @@ def _cmd_oracle(args) -> int:
             print(f"witness: swap {witness.out_candidate} -> {witness.in_candidate}, "
                   f"gain {gain}")
         return 0 if flag else 1
-    report = cons.min_k_gain_search(
-        range(args.k_min, args.k_max + 1), levels=args.levels
-    )
+    k_min, k_max = _option(args, "--k-min", 4), _option(args, "--k-max", 64)
+    report = cons.min_k_gain_search(range(k_min, k_max + 1), levels=args.levels)
     for entry in report.entries:
         print(f"k={entry.k} levels={entry.levels} {entry.outcome}")
     print(f"first pass: {report.first_pass}")
@@ -325,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("warmup", "f", "e", "et", "layered", "hardened"),
                    required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("-j", type=int, default=1)
-    p.add_argument("-t", type=int, default=1)
-    p.add_argument("--levels", type=int, default=2)
+    p.add_argument("-j", type=int)
+    p.add_argument("-t", type=int)
+    p.add_argument("--levels", type=int)
     p.add_argument("--gamma", help="hardened blocker sizing bound (fraction; default 8k^2(k+1))")
     p.add_argument("-o", "--output", help="election output file (default stdout)")
     p.add_argument("--labels-out", help="JSON sidecar with label maps")
@@ -364,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("optimum", "local-opt", "gain-search"), required=True)
     _add_election_args(p, required=False)
     p.add_argument("--committee", help="comma-separated candidate indices")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap")
-    p.add_argument("--k-min", type=int, default=4)
-    p.add_argument("--k-max", type=int, default=64)
+    p.add_argument("--cap", type=int, help="enumeration cap")
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
     p.add_argument("--levels", type=int, help="fixed level count (default: ceil(log2 k))")
     p.set_defaults(func=_cmd_oracle)
 

@@ -373,12 +373,15 @@ class SatisfactionState:
     ``Election._cell_coefficients``) that :func:`delta` has returned to
     its Fraction, so equal deltas are one object and each distinct value
     is built once.  ``__init__`` creates it empty and nothing resets it,
-    so a replay's table holds exactly its distinct step values.  Owned
+    so a replay's table holds exactly its distinct step values.
+
+    ``delta_evals`` counts the pairs that the pickers' scans of this
+    state evaluated exactly (see :class:`_Scan`); it starts at 0.  Owned
     by exactly one run at a time; concurrent runs over the same election
     each build their own state.
     """
 
-    __slots__ = ("election", "committee", "cells", "values")
+    __slots__ = ("election", "committee", "cells", "values", "delta_evals")
 
     def __init__(self, election: Election, committee: Iterable[int]):
         members = validate_committee(election, committee)
@@ -391,18 +394,25 @@ class SatisfactionState:
             cells = _move(cells, 0, masks[c])
         self.cells = cells
         self.values: dict[int, Fraction] = {}
+        self.delta_evals = 0
 
 
 class _Scan(dict):
     """One picker scan of a state's committee: the ``cells`` it scans and
     the sums :func:`delta` fills lazily, keyed by candidate (each
-    incoming candidate's gain sum, each outgoing member's loss sum and
-    approver parts)."""
+    incoming candidate's gain sum, each outgoing member's loss sum, loss
+    bound and approver parts).
 
-    __slots__ = ("cells",)
+    ``floor`` is the numerator below which the picker rejects a pair, or
+    None; the picker may raise it between calls.  ``evals`` counts the
+    pairs :func:`delta` evaluated exactly, those it did not refute."""
 
-    def __init__(self, cells: dict[int, int]):
+    __slots__ = ("cells", "floor", "evals")
+
+    def __init__(self, cells: dict[int, int], floor: Optional[int] = None):
         self.cells = cells
+        self.floor = floor
+        self.evals = 0
 
 
 def _move(cells: dict[int, int], down: int, up: int) -> dict[int, int]:
@@ -472,7 +482,9 @@ def check_swap(state: SatisfactionState, a: int, b: int) -> None:
         raise InvalidSwapError(f"incoming candidate {b} invalid for committee")
 
 
-def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fraction | int:
+def delta(
+    election: Election, state: SatisfactionState, a: int, b: int
+) -> Fraction | int | None:
     """Exact PAV-score change of swapping committee member ``a`` for ``b``.
 
     Only ballot classes approving exactly one of {a, b} count: a class
@@ -497,33 +509,46 @@ def delta(election: Election, state: SatisfactionState, a: int, b: int) -> Fract
     a's approvers of w/h read from the scan's sums, so a pair costs one
     popcount per cell holding some of a's approvers, and it is returned
     as an int: its numerator on the scale of
-    ``Election._cell_coefficients``, lcm(1..k+1).
+    ``Election._cell_coefficients``, lcm(1..k+1).  Since w/h - w/(h(h+1))
+    = w/(h+1), that value is at most G[b] - L'[a], with L'[a] = sum over
+    a's approvers of w/(h+1).  If the scan has a ``floor`` and this
+    bound is below it, the pair is refuted without its exact value and
+    the result is None, which is never a value: the exact numerator is
+    below the floor too.
     """
     if type(state) is _Scan:
-        masks = election.approval_masks
-        _, up, down = election._cell_coefficients
-        mask_b = masks[b]
-        num = state.get(b)
-        if num is None:
-            num = state[b] = sum(
+        gain = state.get(b)
+        if gain is None:
+            mask_b = election.approval_masks[b]
+            up = election._cell_coefficients[1]
+            gain = state[b] = sum(
                 (mask_b & mask).bit_count() * up[key] for key, mask in state.cells.items()
             )
         outgoing = state.get(a)
         if outgoing is None:
-            # L[a], and each non-empty part of a cell approving a with its
-            # coefficient w/(h(h+1)) = w/h - w/(h+1), positive since h >= 1.
-            mask_a = masks[a]
-            loss, parts = 0, []
+            # L[a], L'[a], and each non-empty part of a cell approving a
+            # with its coefficient w/(h(h+1)) = w/h - w/(h+1), positive
+            # since h >= 1.
+            mask_a = election.approval_masks[a]
+            _, up, down = election._cell_coefficients
+            loss, bound, parts = 0, 0, []
             for key, mask in state.cells.items():
                 part = mask_a & mask
                 if part:
-                    loss += part.bit_count() * down[key]
+                    count = part.bit_count()
+                    loss += count * down[key]
+                    bound += count * up[key]
                     parts.append((part, down[key] - up[key]))
-            outgoing = state[a] = loss, parts
-        loss, parts = outgoing
-        num -= loss
+            outgoing = state[a] = loss, bound, parts
+        loss, bound, parts = outgoing
+        floor = state.floor
+        if floor is not None and gain - bound < floor:
+            return None
+        mask_b = election.approval_masks[b]
+        num = gain - loss
         for part, coefficient in parts:
             num += (part & mask_b).bit_count() * coefficient
+        state.evals += 1
         return num
     check_state(election, state)
     check_swap(state, a, b)

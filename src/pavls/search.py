@@ -2,8 +2,10 @@
 
 The engine repeatedly performs swaps whose exact score gain is at least
 the run's threshold, until none remains.  Comparison counts (number of
-delta evaluations, including failed ones and the final certifying scan)
-are the experiments' cost metric and are sequential-deterministic.
+compared pairs, including failed ones and the final certifying scan)
+are the experiments' cost metric and are sequential-deterministic.  A
+compared pair is one :func:`delta` call; the exact evaluations among
+them, the pairs its bound did not refute, are counted apart.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -43,27 +44,40 @@ def check_order(order: Sequence[int], m: int) -> None:
 
 
 def _scan(
-    election: Election, state: SatisfactionState, order: Optional[Sequence[int]]
-) -> Iterator[tuple[int, int, int]]:
+    election: Election, state: SatisfactionState, order: Optional[Sequence[int]], scan: _Scan
+) -> Iterator[tuple[int, int, Optional[int]]]:
     """Yield (outgoing, incoming, delta numerator) for every swap in
     lexicographic (incoming, outgoing) order under ``order`` (index order
-    if None); the numerators are on the scale of :func:`core._need`.
+    if None); the numerators are on the scale of :func:`core._need`, and
+    a pair that ``scan.floor`` refutes yields None instead.
 
     The order is checked here, once, and the state by the picker; each
-    :func:`delta` call then gets this scan's own sums object in place
-    of the state, so it checks nothing and returns an int.  The state
-    is only read."""
+    :func:`delta` call then gets ``scan``, the picker's own sums object
+    for ``state``, in place of the state, so it checks nothing and
+    returns an int or None.  The state is only read."""
     if order is None:
         order = range(election.m)
     else:
         check_order(order, election.m)
-    scan = _Scan(state.cells)
     committee = state.committee
     outs = [c for c in order if c in committee]
     for b in order:
         if b not in committee:
             for a in outs:
                 yield a, b, delta(election, scan, a, b)
+
+
+def _picked(
+    state: SatisfactionState, scan: _Scan, found: Optional[tuple[int, int, int]], scale: int,
+    comparisons: int,
+) -> tuple[Optional[Swap], Optional[Fraction], int]:
+    """A picker's (swap, delta, comparisons) for the pair ``found``, if
+    any; the scan's exact evaluations are added to the state's count."""
+    state.delta_evals += scan.evals
+    if found is None:
+        return None, None, comparisons
+    a, b, num = found
+    return Swap(a, b), Fraction(num, scale), comparisons
 
 
 def next_swap_lex(
@@ -75,17 +89,19 @@ def next_swap_lex(
     """First swap with delta >= epsilon in lexicographic (in, out) order.
 
     Returns (swap, delta, comparisons-used); comparisons counts every
-    delta evaluation including the failed ones.  If no pair qualifies,
-    all k(m-k) pairs have been evaluated.  A threshold that is not an
+    compared pair including the failed ones.  If no pair qualifies, all
+    k(m-k) pairs have been compared.  A threshold that is not an
     :class:`Epsilon`, a state not built for ``election`` or an order
     that is not a permutation of range(m) raises a :class:`PavlsError`.
     """
     scale, need = _need(election, state, epsilon)
-    comparisons = 0
-    for comparisons, (a, b, num) in enumerate(_scan(election, state, order), 1):
-        if num >= need:
-            return Swap(a, b), Fraction(num, scale), comparisons
-    return None, None, comparisons
+    scan = _Scan(state.cells, need)
+    found, comparisons = None, 0
+    for comparisons, (a, b, num) in enumerate(_scan(election, state, order, scan), 1):
+        if num is not None and num >= need:
+            found = a, b, num
+            break
+    return _picked(state, scan, found, scale, comparisons)
 
 
 def next_swap_best(
@@ -96,18 +112,20 @@ def next_swap_best(
 ) -> tuple[Optional[Swap], Optional[Fraction], int]:
     """Maximum-delta swap if it reaches epsilon, else absent.
 
-    Always evaluates all k(m-k) pairs.  The first maximizer in
-    lexicographic (in, out) order wins ties (``max`` keeps it).  Checks
-    its arguments as :func:`next_swap_lex` does.
+    Compares all k(m-k) pairs.  The scan's floor starts at epsilon and
+    rises past each value kept, so a pair is kept only if it beats every
+    earlier one: the first maximizer in lexicographic (in, out) order
+    wins ties.  Checks its arguments as :func:`next_swap_lex` does.
     """
     scale, need = _need(election, state, epsilon)
-    best = max(_scan(election, state, order), key=itemgetter(2), default=None)
+    scan = _Scan(state.cells, need)
+    found = None
+    for a, b, num in _scan(election, state, order, scan):
+        if num is not None and num >= scan.floor:
+            found = a, b, num
+            scan.floor = num + 1
     k = len(state.committee)
-    comparisons = k * (election.m - k)
-    if best is None or best[2] < need:
-        return None, None, comparisons
-    a, b, num = best
-    return Swap(a, b), Fraction(num, scale), comparisons
+    return _picked(state, scan, found, scale, k * (election.m - k))
 
 
 @dataclass(frozen=True)
@@ -158,6 +176,7 @@ class RunTrace:
     executed_swaps: list[Swap]
     step_deltas: list[Fraction]
     comparisons: int
+    delta_evals: int  # the compared pairs evaluated exactly, not refuted
     final_committee: frozenset[int]
     terminated: bool  # True: no qualifying swap remained; False: step cap hit
     epsilon: Fraction
@@ -216,6 +235,7 @@ def run(
         executed_swaps=executed,
         step_deltas=deltas,
         comparisons=comparisons,
+        delta_evals=state.delta_evals,
         final_committee=frozenset(state.committee),
         terminated=terminated,
         epsilon=epsilon.value,

@@ -392,17 +392,67 @@ def test_construct_input_errors_exit_code(tmp_path, capsys):
      "model 'euclidean' takes no -p"),
     (["experiment", "--model", "resampling", "-d", "1", "--k-values", "2", "--out", "OUT"],
      "model 'resampling' takes no -d"),
+    *((["construct", "--family", family, "-k", "8", flag, "3", "-o", "OUT"],
+       f"family {family!r} takes no {flag}")
+      for family, flag in (("warmup", "-j"), ("warmup", "-t"), ("warmup", "--levels"),
+                           ("f", "-t"), ("e", "--levels"), ("et", "--levels"),
+                           ("layered", "-j"), ("hardened", "-t"))),
+    *((["oracle", "--mode", mode, *extra, flag, value], f"--mode {mode} takes no {flag}")
+      for mode, extra, flag, value in (
+          ("optimum", ["--election", "MISSING"], "--epsilon", "1/2"),
+          ("optimum", ["--election", "MISSING"], "--k-min", "4"),
+          ("optimum", ["--election", "MISSING"], "--k-max", "8"),
+          ("local-opt", ["--election", "MISSING", "--committee", "0,1"], "--cap", "9"),
+          ("local-opt", ["--election", "MISSING", "--committee", "0,1"], "--k-min", "4"),
+          ("local-opt", ["--election", "MISSING", "--committee", "0,1"], "--k-max", "8"),
+          ("gain-search", [], "--epsilon", "zero-plus"),
+          ("gain-search", [], "--cap", "9"),
+          ("gain-search", [], "--format", "native"))),
 ], ids=["approve-categories", "oracle-committee", "oracle-levels", "gain-search-election",
         "gain-search-approve-categories", "gain-search-k", "model-preflib-cat",
         "election-p", "election-phi", "election-d", "election-r", "election-n", "election-m",
-        "ic-phi", "euclidean-p", "resampling-d"])
+        "ic-phi", "euclidean-p", "resampling-d",
+        "warmup-j", "warmup-t", "warmup-levels", "f-t", "e-levels", "et-levels", "layered-j",
+        "hardened-t", "optimum-epsilon", "optimum-k-min", "optimum-k-max", "local-opt-cap",
+        "local-opt-k-min", "local-opt-k-max", "gain-search-epsilon", "gain-search-cap",
+        "gain-search-format"])
 def test_unread_options_exit_code(tmp_path, capsys, argv, message):
     # Each option was ignored and the command exited 0.  The election
     # file does not exist: the option is refused before any file is read
-    # (and before the output directory is made).
+    # (and before the output directory or file is made).
     paths = {"MISSING": str(tmp_path / "missing.pavls"), "OUT": str(tmp_path / "out")}
     _assert_input_error(capsys, [paths.get(a, a) for a in argv], message)
     assert not (tmp_path / "out").exists()
+
+
+def test_absent_options_take_their_old_values(tmp_path, capsys):
+    # construct's -j, -t and --levels, and oracle's --epsilon, --cap,
+    # --k-min and --k-max default to None in the parser; each absent one
+    # is read as the value the parser used to supply.
+    for family, given in (("f", ["-j", "1"]), ("e", ["-j", "1"]), ("et", ["-t", "1", "-j", "1"]),
+                          ("layered", ["--levels", "2"])):
+        outputs = []
+        for extra in ([], given):
+            out = tmp_path / f"{family}{len(extra)}.pavls"
+            assert main(["construct", "--family", family, "-k", "8", "-o", str(out), *extra]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+    path = tmp_path / "s.pavls"
+    assert main(["sample", "--model", "ic", "-n", "30", "-m", "6", "-k", "2", "-o", str(path)]) == 0
+    capsys.readouterr()
+    for argv, given in (
+        (["oracle", "--mode", "local-opt", "--election", str(path), "--committee", "0,1"],
+         ["--epsilon", "zero-plus"]),
+        (["oracle", "--mode", "optimum", "--election", str(path)], ["--cap", "1000000"]),
+        (["oracle", "--mode", "gain-search", "--levels", "2"], ["--k-min", "4", "--k-max", "64"]),
+        (["run", "--election", str(path)], ["--epsilon", "zero-plus", "--format", "native"]),
+    ):
+        results = []
+        for extra in ([], given):
+            results.append((main(argv + extra), capsys.readouterr().out))
+        assert results[0] == results[1]
+    assert main(["oracle", "--mode", "optimum", "--election", str(path), "--cap", "14"]) == 2
+    assert "cap is 14" in capsys.readouterr().err
 
 
 def _exit_code(argv):

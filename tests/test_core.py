@@ -485,8 +485,8 @@ def test_engine_walk_matches_scratch_scores(walk):
 def test_scan_sums_match_one_pass_delta(walk):
     """Given a scan's sums object, every pair's delta is an int numerator
     on the election's scale, equal to the one-pass delta of the state
-    and the score change from scratch, and G[b] - L[a] is a lower bound
-    on it."""
+    and the score change from scratch; G[b] - L[a] is a lower bound on
+    it and G[b] - L'[a] an upper bound."""
     e, committee, steps = walk
     scale = e._cell_coefficients[0]
     state = SatisfactionState(e, committee)
@@ -502,12 +502,146 @@ def test_scan_sums_match_one_pass_delta(walk):
             assert type(num) is int and Fraction(num, scale) == one_pass[a, b]
             assert one_pass[a, b] == pav_score(e, (current - {a}) | {b}) - score
             assert sums[b] - sums[a][0] <= num
+            assert sums[b] - sums[a][1] >= num
         if step is None:
             break
         i, j = step
         a, b = sorted(current)[i], outside[j]
         apply_swap(state, Swap(a, b))
         current = (current - {a}) | {b}
+
+
+def _bound(election, committee, a, b):
+    """G[b] - L'[a] on the scale lcm(1..k+1), from the ballots: the sum
+    of w/(h+1) over b's approvers minus that over a's approvers, where h
+    counts the approved members of ``committee``."""
+    scale = lcm_range(election.committee_size + 1)
+    total = 0
+    for bc in election.ballot_classes:
+        share = bc.weight * scale // (len(bc.approves & committee) + 1)
+        total += share * ((b in bc.approves) - (a in bc.approves))
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk=_walks(), floors=st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+@example(walk=(_ZERO_GAIN, (0,), []), floors=[0, 1])  # a zero gain at its floor
+def test_scan_floor_refutes_only_below_it(walk, floors):
+    """A scan with a floor returns None exactly when G[b] - L'[a] is below
+    the floor, so only for a pair whose exact value is below it too, and
+    otherwise the int that a scan without a floor returns; its count of
+    exact evaluations is the number of int returns.  The floor is set
+    between calls, as best response raises it, around each pair's value
+    and bound."""
+    e, committee, steps = walk
+    state = SatisfactionState(e, committee)
+    current = frozenset(committee)
+    for step in steps + [None]:
+        outside = [c for c in range(e.m) if c not in current]
+        plain, floored, returned = _Scan(state.cells), _Scan(state.cells, 0), 0
+        for b in outside:
+            for a in sorted(current):
+                exact = delta(e, plain, a, b)
+                bound = _bound(e, current, a, b)
+                for base in (exact, bound):
+                    for offset in floors:
+                        floored.floor = base + offset
+                        num = delta(e, floored, a, b)
+                        assert (num is None) == (bound < floored.floor)
+                        if num is None:
+                            assert exact < floored.floor
+                        else:
+                            assert type(num) is int and num == exact
+                            returned += 1
+        assert floored.evals == returned
+        assert plain.evals == len(outside) * len(current)
+        if step is None:
+            break
+        i, j = step
+        a, b = sorted(current)[i], outside[j]
+        apply_swap(state, Swap(a, b))
+        current = (current - {a}) | {b}
+
+
+_SELECTORS = st.sampled_from(("zero-plus", "threshold")) | st.fractions(
+    min_value=Fraction(1, 10**6), max_value=20)
+
+
+def _reference_pick(e, state, eps, order, rule):
+    """A picker's (swap, delta, comparisons) from a scan without a floor,
+    in which every pair is evaluated: lex takes the first pair reaching
+    epsilon, best the first maximizer if it reaches epsilon."""
+    scale = e._cell_coefficients[0]
+    need = -(-eps.value.numerator * scale // eps.value.denominator)
+    candidates = range(e.m) if order is None else order
+    scan = _Scan(state.cells)
+    pairs = [(a, b) for b in candidates if b not in state.committee
+             for a in candidates if a in state.committee]
+    nums = [delta(e, scan, a, b) for a, b in pairs]
+    if rule == "lex-better":
+        i = next((i for i, num in enumerate(nums) if num >= need), None)
+        used = len(pairs) if i is None else i + 1
+    else:
+        i = max(range(len(nums)), key=nums.__getitem__, default=None)  # first maximizer
+        i, used = (None if i is None or nums[i] < need else i), len(pairs)
+    if i is None:
+        return None, None, used
+    return Swap(*pairs[i]), Fraction(nums[i], scale), used
+
+
+_PICKERS = {"lex-better": next_swap_lex, "best": next_swap_best}
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk=_walks(), perm=st.none() | st.permutations(range(8)), selector=_SELECTORS)
+def test_pickers_match_scans_without_a_floor(walk, perm, selector):
+    """Both pickers, with their floors, return the (swap, delta,
+    comparisons) of a reference scan in which no pair is refuted, each
+    compared pair counted once.  Each scan adds its exact evaluations,
+    at most its comparisons, to the state's count."""
+    e, committee, steps = walk
+    eps = Epsilon.resolve(selector, e)
+    order = None if perm is None else tuple(c for c in perm if c < e.m)
+    state = SatisfactionState(e, committee)
+    current = frozenset(committee)
+    for step in steps + [None]:
+        for rule, pick in _PICKERS.items():
+            expected = _reference_pick(e, state, eps, order, rule)
+            before = state.delta_evals
+            assert pick(e, state, eps, order) == expected
+            assert (expected[0] is not None) <= state.delta_evals - before <= expected[2]
+        if step is None:
+            break
+        i, j = step
+        a = sorted(current)[i]
+        b = [c for c in range(e.m) if c not in current][j]
+        apply_swap(state, Swap(a, b))
+        current = (current - {a}) | {b}
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk=_walks(), selector=_SELECTORS, rule=st.sampled_from(tuple(RULES)))
+def test_runs_count_exact_evaluations_apart(walk, selector, rule):
+    """A run's swaps, deltas and comparisons are those of a run whose
+    scans refute nothing; its exact evaluations are at most its
+    comparisons and at least its swaps, each executed swap's pair having
+    been evaluated exactly."""
+    e, committee, _ = walk
+    eps = Epsilon.resolve(selector, e)
+    trace = run(e, committee, eps, RULES[rule], step_cap=50)
+    assert trace.swaps <= trace.delta_evals <= trace.comparisons
+    state = SatisfactionState(e, committee)
+    swaps, deltas, comparisons = [], [], 0
+    while len(swaps) < 50:
+        swap, d, used = _reference_pick(e, state, eps, None, rule)
+        comparisons += used
+        if swap is None:
+            break
+        apply_swap(state, swap)
+        swaps.append(swap)
+        deltas.append(d)
+    assert (trace.executed_swaps, trace.step_deltas, trace.comparisons) == (
+        swaps, deltas, comparisons)
 
 
 @pytest.mark.parametrize("selector", ["zero-plus", "threshold", "28/3", "1/2"])
