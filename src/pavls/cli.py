@@ -259,8 +259,8 @@ def _cmd_experiment(args) -> int:
         _refuse_unread(args, (*_MODEL_DEFAULTS, "-n", "-m"), "experiment --election")
         source = _load_election(args)
     elif args.model:
-        if args.format == "preflib-cat":
-            raise PavlsError("experiment --model takes no --format preflib-cat")
+        if args.format is not None:  # the model source reads no file
+            raise PavlsError(f"experiment --model takes no --format {args.format}")
         source = _sampler_config(args, 0)
     else:
         raise PavlsError("experiment needs --election or --model")

@@ -91,12 +91,14 @@ def _build(
 ) -> LabeledElection:
     """Freeze a family: ``labels`` names the candidates in index order,
     and ``entries`` yields each ballot class as (ballot of candidate
-    indices, weight, voter group), in class order."""
+    indices, weight, voter group), in class order.  Equal ballots are
+    interned: every class holding one shares its first frozenset."""
     classes: list[BallotClass] = []
     groups: dict[str, list[int]] = {}
+    shared: dict[frozenset[int], frozenset[int]] = {}
     for ballot, weight, group in entries:
         groups.setdefault(group, []).append(len(classes))
-        classes.append(BallotClass(ballot, weight))
+        classes.append(BallotClass(shared.setdefault(ballot, ballot), weight))
     return LabeledElection(
         election=Election(tuple(labels), tuple(classes), k),
         candidate_labels={name: i for i, name in enumerate(labels)},
@@ -261,8 +263,12 @@ def _et_ballots(
     """Ballots of t = len(column) - 1 chained copies of the e family over
     the chain indices ``column``, the forward flag indices ``x``, the
     backward flag indices ``y`` and the dummy indices ``dummies`` (d1
-    first), each with its copy index (1-based)."""
+    first), each with its copy index (1-based).
+
+    Each distinct ballot of a copy is built once, and every class that
+    repeats it yields that same frozenset."""
     ballots = _e_ballots(j, k)
+    distinct = dict.fromkeys(ballots)
     # Lists, not ranges: a range makes a new int object per element past
     # 256 in every ballot it fills, while list slices share one per index.
     column, x, y, dummies = list(column), list(x), list(y), list(dummies)
@@ -274,10 +280,14 @@ def _et_ballots(
         # Clone closure: a voter of copy i approves the whole lower
         # segment c1..ci or upper segment c(i+1)..c(t+1), never part of one.
         stands_for = {"a": column[:i], "b": column[i:], "x": x, "y": y}
-        for p, role, flag in ballots:
-            # Filled one by one, a frozenset gets the same table size as the
-            # parser's; a set union may double it.
-            yield frozenset(chain(dummies[:p], stands_for[role], stands_for[flag])), i
+        # Filled one by one, a frozenset gets the same table size as the
+        # parser's; a set union may double it.
+        built = {
+            (p, role, flag): frozenset(chain(dummies[:p], stands_for[role], stands_for[flag]))
+            for p, role, flag in distinct
+        }
+        for ballot in ballots:
+            yield built[ballot], i
 
 
 def e_t_election(t: int, j: int, k: int) -> LabeledElection:

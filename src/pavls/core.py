@@ -8,7 +8,10 @@ below float resolution for realistic committee sizes.
 Voters with identical ballots are stored once as a weighted ballot
 class.  This keeps the adversarial instances (whose blocker groups
 contain hundreds of thousands of identical voters) small in memory
-without changing any score.
+without changing any score.  Classes with equal ballots (the
+constructions repeat one ballot across many voter groups) share one
+frozenset: the builders and parsers intern them, which is safe because
+frozensets are immutable.
 """
 
 from __future__ import annotations
@@ -98,7 +101,11 @@ def inverse_sequence(seq: Iterable[tuple[int, int]]) -> list[Swap]:
 
 @dataclass(frozen=True)
 class BallotClass:
-    """A set of voters sharing one approval ballot."""
+    """A set of voters sharing one approval ballot.
+
+    Classes with equal ballots may share one ``approves`` frozenset, and
+    the constructions and parsers make them do so.
+    """
 
     approves: frozenset[int]
     weight: int
@@ -153,7 +160,10 @@ class Election:
         if types:
             name = types.pop().__name__
             raise InvalidElectionError(f"ballot classes must be BallotClasses, got a {name}")
-        approves = [bc.approves for bc in classes]
+        # Once per distinct approval object, in first-occurrence order:
+        # classes with equal ballots usually share one frozenset, and a
+        # repeat adds nothing to the type set or the union.
+        approves = {id(bc.approves): bc.approves for bc in classes}.values()
         types = set(map(type, chain.from_iterable(approves))) - {int}
         if types:
             raise InvalidElectionError(f"ballot entries must be ints, got a {types.pop().__name__}")

@@ -44,6 +44,8 @@ def serialize_native(election: Election) -> str:
 
     A candidate name must be non-empty, without leading or trailing
     whitespace and without a line break, or it would not parse back.
+    Each distinct approval set is spelled once, however many classes
+    hold it.
     """
     if not isinstance(election, Election):
         raise FormatError(f"can only serialize an Election, got {type(election).__name__}")
@@ -56,9 +58,13 @@ def serialize_native(election: Election) -> str:
     # Entries are ints in [0, m); indexing their spelled-out forms is
     # faster than calling str on each.
     spelled = [str(c) for c in range(election.m)]
+    bodies: dict[frozenset[int], str] = {}
     for bc in election.ballot_classes:
-        entries = " ".join(map(spelled.__getitem__, sorted(bc.approves)))
-        lines.append(f"ballot {bc.weight}:{' ' if entries else ''}{entries}")
+        body = bodies.get(bc.approves)
+        if body is None:
+            entries = " ".join(map(spelled.__getitem__, sorted(bc.approves)))
+            body = bodies[bc.approves] = f" {entries}" if entries else ""
+        lines.append(f"ballot {bc.weight}:{body}")
     return "\n".join(lines) + "\n"
 
 
@@ -92,6 +98,11 @@ def parse_native(text: str) -> Election:
     past the table) takes the ``int`` conversion and range test, so all
     spellings read alike and each error keeps its message, line and
     order.
+
+    Each distinct ballot body is read once per file: the classes whose
+    lines repeat it share one frozenset.  Only a body that read cleanly
+    is kept, so a repeated malformed line still fails at its first
+    occurrence.
     """
     if not isinstance(text, str):
         raise FormatError(f"native text must be a str, got {type(text).__name__}")
@@ -114,8 +125,12 @@ def parse_native(text: str) -> Election:
     # per candidate, so c < len(lines) bounds the table by the text and a
     # huge declared m allocates nothing.
     canonical = {str(c): c for c in range(min(m, len(lines)))}
+    read: dict[str, frozenset[int]] = {}  # each body read so far
 
     def read_ballot(body: str, lineno: int) -> frozenset[int]:
+        ballot = read.get(body)
+        if ballot is not None:
+            return ballot
         tokens = body.split()
         try:
             # The table's values lie in [0, m), so no range test is due.
@@ -136,6 +151,7 @@ def parse_native(text: str) -> Election:
         ballot = frozenset(entries)
         if len(ballot) < len(entries) or entries != sorted(entries):
             raise FormatError("ballot entries must be strictly increasing", line=lineno)
+        read[body] = ballot
         return ballot
 
     # Keyed by index: a header declaring a huge m allocates nothing.
@@ -300,15 +316,16 @@ def parse_preflib_categorical(
     if missing:
         raise FormatError(f"alternative {missing} never mentioned")
 
-    classes = tuple(
-        BallotClass(
-            frozenset(alt - 1 for idx in approved if idx <= len(groups) for alt in groups[idx - 1]),
-            count,
+    # Equal approval sets are interned: their classes share one frozenset.
+    shared: dict[frozenset[int], frozenset[int]] = {}
+    classes = []
+    for count, groups in ballots:
+        ballot = frozenset(
+            alt - 1 for idx in approved if idx <= len(groups) for alt in groups[idx - 1]
         )
-        for count, groups in ballots
-    )
+        classes.append(BallotClass(shared.setdefault(ballot, ballot), count))
     names = tuple(alt_names.get(i, f"a{i}") for i in range(1, m + 1))
-    return Election(names, classes, None)
+    return Election(names, tuple(classes), None)
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,9 @@ def test_construct_input_errors_exit_code(tmp_path, capsys):
     (["experiment", "--model", "ic", "-n", "10", "-m", "4", "--k-values", "2",
       "--format", "preflib-cat", "--approve-categories", "2", "--out", "OUT"],
      "experiment --model takes no --format preflib-cat"),
+    (["experiment", "--model", "ic", "-n", "10", "-m", "4", "--k-values", "2",
+      "--format", "native", "--out", "OUT"],
+     "experiment --model takes no --format native"),
     *((["experiment", "--election", "MISSING", flag, value, "--k-values", "2", "--out", "OUT"],
        f"experiment --election takes no {flag}")
       for flag, value in (("-p", "0.9"), ("--phi", "0.9"), ("-d", "1"), ("-r", "0.1"),
@@ -409,7 +412,7 @@ def test_construct_input_errors_exit_code(tmp_path, capsys):
           ("gain-search", [], "--cap", "9"),
           ("gain-search", [], "--format", "native"))),
 ], ids=["approve-categories", "oracle-committee", "oracle-levels", "gain-search-election",
-        "gain-search-approve-categories", "gain-search-k", "model-preflib-cat",
+        "gain-search-approve-categories", "gain-search-k", "model-preflib-cat", "model-native",
         "election-p", "election-phi", "election-d", "election-r", "election-n", "election-m",
         "ic-phi", "euclidean-p", "resampling-d",
         "warmup-j", "warmup-t", "warmup-levels", "f-t", "e-levels", "et-levels", "layered-j",

@@ -292,6 +292,25 @@ def test_construction_outputs_pinned(family):
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+_SHARING_FAMILIES = {
+    "layered(2, 22)": lambda: layered_election(LayeredParams(2, 22)),
+    "layered(3, 10)": lambda: layered_election(LayeredParams(3, 10)),
+    "hardened(2, 22)": lambda: hardened_election(HardenedParams(LayeredParams(2, 22))),
+    "f(3, 8)": lambda: f_election(3, 8),
+    "warmup(16)": lambda: warmup_election(16),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SHARING_FAMILIES))
+def test_equal_ballots_share_one_frozenset(family):
+    # Each distinct ballot is one frozenset, however many classes hold it
+    # (the warm-up family repeats none).
+    approves = [bc.approves for bc in _SHARING_FAMILIES[family]().election.ballot_classes]
+    distinct = len(set(approves))
+    assert distinct < len(approves) or family.startswith("warmup")
+    assert len(set(map(id, approves))) == distinct
+
+
 @pytest.mark.parametrize("j,k", [(1, 3), (1, 6), (2, 4), (2, 7), (3, 5), (4, 6)])
 def test_e_pivotal_swap_gain(j, k):
     lab = e_election(j, k)

@@ -100,6 +100,19 @@ def test_election_rejects_non_int_values():
         e.with_committee_size("2")
 
 
+@pytest.mark.parametrize("bad, message", [
+    (frozenset({0, "1"}), "ballot entries must be ints, got a str"),
+    (frozenset({0, 5}), r"ballot entry out of range: 5 \(m=2\)"),
+], ids=["str-entry", "out-of-range"])
+def test_election_checks_shared_ballots(bad, message):
+    # Entries are checked once per distinct approval object; classes that
+    # share one bad frozenset fail as classes holding copies of it do.
+    for approves in ((bad, bad, bad), (bad, frozenset(bad), frozenset(bad))):
+        classes = tuple(BallotClass(a, w) for w, a in enumerate(approves, start=1))
+        with pytest.raises(InvalidElectionError, match=f"^{message}$"):
+            Election(("a", "b"), classes, 1)
+
+
 def test_ballot_class_rejects_non_frozenset_approvals():
     # A list or set would be accepted, then break pav_score's set algebra.
     for approves in ([0, 1], {0, 1}, (0, 1), "01"):

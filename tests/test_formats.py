@@ -11,7 +11,9 @@ from pavls import (
     BallotClass,
     Election,
     FormatError,
+    LayeredParams,
     PavlsError,
+    layered_election,
     parse_native,
     parse_preflib_categorical,
     pav_score,
@@ -42,10 +44,38 @@ def _elections(draw):
     return Election(tuple(names), tuple(classes), k)
 
 
+def _first_holders(keys):
+    """Per position, the first position holding the same key."""
+    first = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+def _sharing(e):
+    """Per class, the first class holding the same approvals object."""
+    return _first_holders(id(bc.approves) for bc in e.ballot_classes)
+
+
+def _equal_ballots(e):
+    """Per class, the first class holding an equal ballot."""
+    return _first_holders(bc.approves for bc in e.ballot_classes)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_elections())
 def test_native_round_trip_random(e):
-    assert parse_native(serialize_native(e)) == e
+    parsed = parse_native(serialize_native(e))
+    assert parsed == e
+    # The drawn classes hold separate frozensets; the parse shares one
+    # per distinct ballot.
+    assert _sharing(parsed) == _equal_ballots(e)
+
+
+def test_native_round_trip_keeps_constructed_sharing():
+    e = layered_election(LayeredParams(2, 22)).election
+    parsed = parse_native(serialize_native(e))
+    assert parsed == e
+    assert _sharing(parsed) == _sharing(e) == _equal_ballots(e)
+    assert len(set(_sharing(e))) < len(e.ballot_classes)
 
 
 @pytest.mark.parametrize("name", ["a\nballot 1: 0", "a ", "", 1])
@@ -281,6 +311,15 @@ def _respelled_native(draw):
         stop = draw(st.integers(start, min(len(lines[i]), start + 4)))
         edit = draw(st.text("0123456789 +-_:\nabcdlpvs\u0663\t", max_size=4) | entries)
         lines[i] = lines[i][:start] + edit + lines[i][stop:]
+    # Up to three repeats of a ballot line, edited or not, anywhere
+    # after the header and maybe with another weight: a repeated body is
+    # read once.
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1 + e.m, len(lines) - 1))
+        line = lines[i]
+        if draw(st.booleans()):
+            line = f"ballot {draw(st.integers(1, 3))}:{line.partition(':')[2]}"
+        lines.insert(draw(st.integers(1, len(lines))), line)
     body = "\n".join(lines[1:]) + "\n"
     if draw(st.booleans()):
         k = lines[0].split()[3]
@@ -336,6 +375,21 @@ def test_native_ballot_spellings_pinned(text, expected):
     assert result == expected
 
 
+@pytest.mark.parametrize("body, message", [
+    ("1 0", "ballot entries must be strictly increasing"),
+    ("0 x", "non-integer ballot entry"),
+    ("0 4", "ballot entry 4 out of range [0, 4)"),
+])
+def test_native_repeated_malformed_ballot_fails_at_first(body, message):
+    # Lines 6 and 8 spell one malformed body; only a clean body is kept,
+    # so the first occurrence fails as it did when each line was read.
+    text = _one_ballot(body) + f"ballot 2: 0 1\nballot 3: {body}\n"
+    assert _parsed(parse_native, text) == ("refused", f"line 6: {message}", 6)
+    clean = _one_ballot("0 1") + f"ballot 2: 0 1\nballot 3: {body}\nballot 1: {body}\n"
+    assert _parsed(parse_native, clean) == ("refused", f"line 8: {message}", 8)
+
+
+
 PREFLIB_SAMPLE = """\
 # FILE NAME: toy.cat
 # TITLE: toy
@@ -365,6 +419,15 @@ def test_preflib_category_union():
     assert e.ballot_classes[1].approves == frozenset({2, 3})
     # an empty chosen category contributes nothing
     assert e.ballot_classes[0].approves == frozenset({0, 1})
+
+
+def test_preflib_interns_equal_approval_sets():
+    # Lines 1 and 3 flatten to {0, 1} under category 1, though their
+    # other categories differ.
+    text = "1: {1,2},{3}\n2: {3},{1,2}\n4: {2,1},{},{3}\n"
+    classes = parse_preflib_categorical(text, [1]).ballot_classes
+    assert [bc.approves for bc in classes] == [frozenset({0, 1}), frozenset({2}), frozenset({0, 1})]
+    assert classes[0].approves is classes[2].approves
 
 
 def test_preflib_bare_integers_and_blank_lines():
