@@ -91,14 +91,12 @@ def _build(
 ) -> LabeledElection:
     """Freeze a family: ``labels`` names the candidates in index order,
     and ``entries`` yields each ballot class as (ballot of candidate
-    indices, weight, voter group), in class order.  Equal ballots are
-    interned: every class holding one shares its first frozenset."""
+    indices, weight, voter group), in class order."""
     classes: list[BallotClass] = []
     groups: dict[str, list[int]] = {}
-    shared: dict[frozenset[int], frozenset[int]] = {}
     for ballot, weight, group in entries:
         groups.setdefault(group, []).append(len(classes))
-        classes.append(BallotClass(shared.setdefault(ballot, ballot), weight))
+        classes.append(BallotClass(ballot, weight))
     return LabeledElection(
         election=Election(tuple(labels), tuple(classes), k),
         candidate_labels={name: i for i, name in enumerate(labels)},

@@ -8,10 +8,10 @@ below float resolution for realistic committee sizes.
 Voters with identical ballots are stored once as a weighted ballot
 class.  This keeps the adversarial instances (whose blocker groups
 contain hundreds of thousands of identical voters) small in memory
-without changing any score.  Classes with equal ballots (the
-constructions repeat one ballot across many voter groups) share one
-frozenset: the builders and parsers intern them, which is safe because
-frozensets are immutable.
+without changing any score.  Classes with equal ballots (the layered
+constructions repeat one ballot across many voter groups) may share one
+frozenset: the layered builders and ``parse_native`` make them do so,
+which is safe because frozensets are immutable.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def inverse_sequence(seq: Iterable[tuple[int, int]]) -> list[Swap]:
 class BallotClass:
     """A set of voters sharing one approval ballot.
 
-    Classes with equal ballots may share one ``approves`` frozenset, and
-    the constructions and parsers make them do so.
+    Classes with equal ballots may share one ``approves`` frozenset, as
+    the layered builders and ``parse_native`` make them do.
     """
 
     approves: frozenset[int]
@@ -161,7 +161,7 @@ class Election:
             name = types.pop().__name__
             raise InvalidElectionError(f"ballot classes must be BallotClasses, got a {name}")
         # Once per distinct approval object, in first-occurrence order:
-        # classes with equal ballots usually share one frozenset, and a
+        # classes with equal ballots may share one frozenset, and a
         # repeat adds nothing to the type set or the union.
         approves = {id(bc.approves): bc.approves for bc in classes}.values()
         types = set(map(type, chain.from_iterable(approves))) - {int}

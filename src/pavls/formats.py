@@ -44,8 +44,6 @@ def serialize_native(election: Election) -> str:
 
     A candidate name must be non-empty, without leading or trailing
     whitespace and without a line break, or it would not parse back.
-    Each distinct approval set is spelled once, however many classes
-    hold it.
     """
     if not isinstance(election, Election):
         raise FormatError(f"can only serialize an Election, got {type(election).__name__}")
@@ -58,13 +56,9 @@ def serialize_native(election: Election) -> str:
     # Entries are ints in [0, m); indexing their spelled-out forms is
     # faster than calling str on each.
     spelled = [str(c) for c in range(election.m)]
-    bodies: dict[frozenset[int], str] = {}
     for bc in election.ballot_classes:
-        body = bodies.get(bc.approves)
-        if body is None:
-            entries = " ".join(map(spelled.__getitem__, sorted(bc.approves)))
-            body = bodies[bc.approves] = f" {entries}" if entries else ""
-        lines.append(f"ballot {bc.weight}:{body}")
+        entries = " ".join(map(spelled.__getitem__, sorted(bc.approves)))
+        lines.append(f"ballot {bc.weight}:{' ' if entries else ''}{entries}")
     return "\n".join(lines) + "\n"
 
 
@@ -99,10 +93,9 @@ def parse_native(text: str) -> Election:
     spellings read alike and each error keeps its message, line and
     order.
 
-    Each distinct ballot body is read once per file: the classes whose
-    lines repeat it share one frozenset.  Only a body that read cleanly
-    is kept, so a repeated malformed line still fails at its first
-    occurrence.
+    Equal ballots are interned once read: the classes that repeat one
+    share its first frozenset.  Keyed by the set, not by the line's
+    text, the table holds nothing the election does not.
     """
     if not isinstance(text, str):
         raise FormatError(f"native text must be a str, got {type(text).__name__}")
@@ -125,12 +118,9 @@ def parse_native(text: str) -> Election:
     # per candidate, so c < len(lines) bounds the table by the text and a
     # huge declared m allocates nothing.
     canonical = {str(c): c for c in range(min(m, len(lines)))}
-    read: dict[str, frozenset[int]] = {}  # each body read so far
+    shared: dict[frozenset[int], frozenset[int]] = {}
 
     def read_ballot(body: str, lineno: int) -> frozenset[int]:
-        ballot = read.get(body)
-        if ballot is not None:
-            return ballot
         tokens = body.split()
         try:
             # The table's values lie in [0, m), so no range test is due.
@@ -151,8 +141,7 @@ def parse_native(text: str) -> Election:
         ballot = frozenset(entries)
         if len(ballot) < len(entries) or entries != sorted(entries):
             raise FormatError("ballot entries must be strictly increasing", line=lineno)
-        read[body] = ballot
-        return ballot
+        return shared.setdefault(ballot, ballot)
 
     # Keyed by index: a header declaring a huge m allocates nothing.
     names: dict[int, str] = {}
@@ -180,6 +169,7 @@ def parse_native(text: str) -> Election:
         else:
             raise FormatError(f"unrecognized line {line!r}", line=lineno)
 
+    shared.clear()  # done with; freed before the Election's checks
     if len(names) < m:
         missing = next(i for i in range(m) if i not in names)
         raise FormatError(f"candidate {missing} never declared")
@@ -316,16 +306,15 @@ def parse_preflib_categorical(
     if missing:
         raise FormatError(f"alternative {missing} never mentioned")
 
-    # Equal approval sets are interned: their classes share one frozenset.
-    shared: dict[frozenset[int], frozenset[int]] = {}
-    classes = []
-    for count, groups in ballots:
-        ballot = frozenset(
-            alt - 1 for idx in approved if idx <= len(groups) for alt in groups[idx - 1]
+    classes = tuple(
+        BallotClass(
+            frozenset(alt - 1 for idx in approved if idx <= len(groups) for alt in groups[idx - 1]),
+            count,
         )
-        classes.append(BallotClass(shared.setdefault(ballot, ballot), count))
+        for count, groups in ballots
+    )
     names = tuple(alt_names.get(i, f"a{i}") for i in range(1, m + 1))
-    return Election(names, tuple(classes), None)
+    return Election(names, classes, None)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,6 @@ _SHARING_FAMILIES = {
     "layered(2, 22)": lambda: layered_election(LayeredParams(2, 22)),
     "layered(3, 10)": lambda: layered_election(LayeredParams(3, 10)),
     "hardened(2, 22)": lambda: hardened_election(HardenedParams(LayeredParams(2, 22))),
-    "f(3, 8)": lambda: f_election(3, 8),
     "warmup(16)": lambda: warmup_election(16),
 }
 

@@ -312,8 +312,8 @@ def _respelled_native(draw):
         edit = draw(st.text("0123456789 +-_:\nabcdlpvs\u0663\t", max_size=4) | entries)
         lines[i] = lines[i][:start] + edit + lines[i][stop:]
     # Up to three repeats of a ballot line, edited or not, anywhere
-    # after the header and maybe with another weight: a repeated body is
-    # read once.
+    # after the header and maybe with another weight: a repeated ballot
+    # is interned.
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(1 + e.m, len(lines) - 1))
         line = lines[i]
@@ -381,13 +381,12 @@ def test_native_ballot_spellings_pinned(text, expected):
     ("0 4", "ballot entry 4 out of range [0, 4)"),
 ])
 def test_native_repeated_malformed_ballot_fails_at_first(body, message):
-    # Lines 6 and 8 spell one malformed body; only a clean body is kept,
-    # so the first occurrence fails as it did when each line was read.
+    # Lines 6 and 8 spell one malformed body; only a clean ballot is
+    # interned, so the first occurrence fails as it would alone.
     text = _one_ballot(body) + f"ballot 2: 0 1\nballot 3: {body}\n"
     assert _parsed(parse_native, text) == ("refused", f"line 6: {message}", 6)
     clean = _one_ballot("0 1") + f"ballot 2: 0 1\nballot 3: {body}\nballot 1: {body}\n"
     assert _parsed(parse_native, clean) == ("refused", f"line 8: {message}", 8)
-
 
 
 PREFLIB_SAMPLE = """\
@@ -419,15 +418,6 @@ def test_preflib_category_union():
     assert e.ballot_classes[1].approves == frozenset({2, 3})
     # an empty chosen category contributes nothing
     assert e.ballot_classes[0].approves == frozenset({0, 1})
-
-
-def test_preflib_interns_equal_approval_sets():
-    # Lines 1 and 3 flatten to {0, 1} under category 1, though their
-    # other categories differ.
-    text = "1: {1,2},{3}\n2: {3},{1,2}\n4: {2,1},{},{3}\n"
-    classes = parse_preflib_categorical(text, [1]).ballot_classes
-    assert [bc.approves for bc in classes] == [frozenset({0, 1}), frozenset({2}), frozenset({0, 1})]
-    assert classes[0].approves is classes[2].approves
 
 
 def test_preflib_bare_integers_and_blank_lines():
