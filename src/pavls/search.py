@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import (
     Election,
@@ -43,36 +43,44 @@ def check_order(order: Sequence[int], m: int) -> None:
         raise InvalidRuleError(f"candidate order must be a permutation of range({m})")
 
 
-def _scan(
-    election: Election, state: SatisfactionState, order: Optional[Sequence[int]], scan: _Scan
-) -> Iterator[tuple[int, int, Optional[int]]]:
-    """Yield (outgoing, incoming, delta numerator) for every swap in
-    lexicographic (incoming, outgoing) order under ``order`` (index order
-    if None); the numerators are on the scale of :func:`core._need`, and
-    a pair that ``scan.floor`` refutes yields None instead.
+def _pick(
+    election: Election, state: SatisfactionState, epsilon: Epsilon,
+    order: Optional[Sequence[int]], first: bool,
+) -> tuple[Optional[Swap], Optional[Fraction], int]:
+    """Both pickers' scan: one :func:`delta` call and one comparison per
+    swap, in lexicographic (incoming, outgoing) order under ``order``
+    (index order if None).  A pair is kept when its numerator reaches
+    the scan's floor, epsilon at first.  With ``first`` the scan stops
+    there; otherwise the floor rises one unit past the value kept, so
+    the last pair kept is the first maximizer.
 
-    The order is checked here, once, and the state by the picker; each
-    :func:`delta` call then gets ``scan``, the picker's own sums object
-    for ``state``, in place of the state, so it checks nothing and
-    returns an int or None.  The state is only read."""
+    Threshold, state and order are checked here, once.  Each call gets
+    ``scan``, this scan's own sums object, in place of the state, so it
+    checks nothing and returns a numerator on the scale of
+    :func:`core._need`, or None for a pair the floor refutes.  The state
+    is only read, but for its count of exact evaluations."""
+    scale, need = _need(election, state, epsilon)
     if order is None:
         order = range(election.m)
     else:
         check_order(order, election.m)
+    scan = _Scan(state.cells, need)
     committee = state.committee
     outs = [c for c in order if c in committee]
+    found, comparisons = None, 0
     for b in order:
-        if b not in committee:
-            for a in outs:
-                yield a, b, delta(election, scan, a, b)
-
-
-def _picked(
-    state: SatisfactionState, scan: _Scan, found: Optional[tuple[int, int, int]], scale: int,
-    comparisons: int,
-) -> tuple[Optional[Swap], Optional[Fraction], int]:
-    """A picker's (swap, delta, comparisons) for the pair ``found``, if
-    any; the scan's exact evaluations are added to the state's count."""
+        if b in committee:
+            continue
+        for a in outs:
+            comparisons += 1
+            num = delta(election, scan, a, b)
+            if num is not None and num >= scan.floor:
+                found = a, b, num
+                if first:
+                    break
+                scan.floor = num + 1
+        if first and found is not None:
+            break
     state.delta_evals += scan.evals
     if found is None:
         return None, None, comparisons
@@ -94,14 +102,7 @@ def next_swap_lex(
     :class:`Epsilon`, a state not built for ``election`` or an order
     that is not a permutation of range(m) raises a :class:`PavlsError`.
     """
-    scale, need = _need(election, state, epsilon)
-    scan = _Scan(state.cells, need)
-    found, comparisons = None, 0
-    for comparisons, (a, b, num) in enumerate(_scan(election, state, order, scan), 1):
-        if num is not None and num >= need:
-            found = a, b, num
-            break
-    return _picked(state, scan, found, scale, comparisons)
+    return _pick(election, state, epsilon, order, True)
 
 
 def next_swap_best(
@@ -117,15 +118,7 @@ def next_swap_best(
     earlier one: the first maximizer in lexicographic (in, out) order
     wins ties.  Checks its arguments as :func:`next_swap_lex` does.
     """
-    scale, need = _need(election, state, epsilon)
-    scan = _Scan(state.cells, need)
-    found = None
-    for a, b, num in _scan(election, state, order, scan):
-        if num is not None and num >= scan.floor:
-            found = a, b, num
-            scan.floor = num + 1
-    k = len(state.committee)
-    return _picked(state, scan, found, scale, k * (election.m - k))
+    return _pick(election, state, epsilon, order, False)
 
 
 @dataclass(frozen=True)

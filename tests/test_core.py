@@ -1,6 +1,7 @@
 import random
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -610,19 +611,30 @@ _PICKERS = {"lex-better": next_swap_lex, "best": next_swap_best}
 def test_pickers_match_scans_without_a_floor(walk, perm, selector):
     """Both pickers, with their floors, return the (swap, delta,
     comparisons) of a reference scan in which no pair is refuted, each
-    compared pair counted once.  Each scan adds its exact evaluations,
-    at most its comparisons, to the state's count."""
+    compared pair counted once.  Each comparison is one call of
+    ``search.delta``, the name the bench tracer patches, and each scan
+    adds to the state's count exactly the calls that returned a value."""
     e, committee, steps = walk
     eps = Epsilon.resolve(selector, e)
     order = None if perm is None else tuple(c for c in perm if c < e.m)
     state = SatisfactionState(e, committee)
     current = frozenset(committee)
+    returns = []
+
+    def counted(*args):
+        returns.append(pavls.core.delta(*args))
+        return returns[-1]
+
     for step in steps + [None]:
         for rule, pick in _PICKERS.items():
             expected = _reference_pick(e, state, eps, order, rule)
             before = state.delta_evals
-            assert pick(e, state, eps, order) == expected
-            assert (expected[0] is not None) <= state.delta_evals - before <= expected[2]
+            returns.clear()
+            with patch.object(pavls.search, "delta", counted):
+                assert pick(e, state, eps, order) == expected
+            assert len(returns) == expected[2]
+            assert sum(num is not None for num in returns) == state.delta_evals - before
+            assert (expected[0] is not None) <= state.delta_evals - before
         if step is None:
             break
         i, j = step

@@ -259,3 +259,22 @@ def test_comparisons_include_final_scan():
     trace = run(e, {0}, Epsilon.zero_plus(1), LexicographicBetterResponse())
     assert trace.swaps == 1
     assert trace.comparisons == 2  # the improving eval + the final scan
+
+
+@pytest.mark.parametrize("order", [None, (2, 0, 1)])
+def test_full_committee_has_no_swap(order):
+    # k = m seats every candidate, so no row has an incoming candidate:
+    # both pickers compare nothing and evaluate nothing, and a run stops
+    # at once under either rule.
+    e = Election(("a", "b", "c"), (BallotClass(frozenset({0, 1}), 2),
+                                   BallotClass(frozenset({2}), 1)), 3)
+    eps = Epsilon.zero_plus(3)
+    state = SatisfactionState(e, {0, 1, 2})
+    for picker in (next_swap_lex, next_swap_best):
+        assert picker(e, state, eps, order) == (None, None, 0)
+        assert state.delta_evals == 0
+    for rule in (LexicographicBetterResponse(order), BestResponse(order)):
+        trace = run(e, {0, 1, 2}, eps, rule)
+        assert trace.terminated
+        assert (trace.swaps, trace.comparisons, trace.delta_evals) == (0, 0, 0)
+        assert trace.final_committee == {0, 1, 2}
