@@ -44,7 +44,7 @@ def _load_election(args) -> Election:
         raise PavlsError(f"{args.command} needs --election")
     text = "".join(line for _, line in _read_lines(args.election))
     if args.format == "preflib-cat":
-        cats = set(_parse_int_list(args.approve_categories or "1"))
+        cats = set(_parse_int_list(_option(args, "--approve-categories", "1")))
         election = parse_preflib_categorical(text, cats)
     else:
         election = parse_native(text)
@@ -71,7 +71,7 @@ def _read_sequence(path: str) -> Iterator[Swap]:
 def _write(path: Optional[Path | str], chunks: Iterable[str]) -> None:
     """Write the chunks to the file at path, or to standard output when
     there is no path; the one place the CLI writes its outputs."""
-    if not path:
+    if path is None:
         sys.stdout.writelines(chunks)
         return
     with open(path, "w") as out:
@@ -134,8 +134,8 @@ def _sampler_config(args, seed: int) -> SamplerConfig:
     for flag, default in _MODEL_DEFAULTS.items():
         if flag.lstrip("-") in model.__dataclass_fields__:
             params[flag.lstrip("-")] = _option(args, flag, default)
-        elif _option(args, flag) is not None:
-            raise PavlsError(f"model {args.model!r} takes no {flag}")
+        else:
+            _refuse_unread(args, (flag,), f"model {args.model!r}")
     # sample requires -n and -m; experiment defaults them.
     return SamplerConfig(model(**params), _option(args, "-n", 100), _option(args, "-m", 20), seed)
 
@@ -161,9 +161,9 @@ def _gamma(text: Optional[str]) -> Optional[Fraction]:
 # The options each construct family never reads; each defaults to None.
 _CONSTRUCT_UNREAD = {
     "warmup": ("-j", "-t", "--levels", "--gamma"),
-    "f": ("-t", "--levels", "--gamma"),
-    "e": ("-t", "--levels", "--gamma"),
-    "et": ("--levels", "--gamma"),
+    "f": ("-t", "--levels", "--gamma", "--sequence-out", "--initial-out"),
+    "e": ("-t", "--levels", "--gamma", "--sequence-out", "--initial-out"),
+    "et": ("--levels", "--gamma", "--sequence-out", "--initial-out"),
     "layered": ("-j", "-t", "--gamma"),
     "hardened": ("-j", "-t"),
 }
@@ -196,21 +196,17 @@ def _construct(args) -> tuple[
 def _cmd_construct(args) -> int:
     _refuse_unread(args, _CONSTRUCT_UNREAD[args.family], f"family {args.family!r}")
     labeled, seq, initial = _construct(args)
-    if args.sequence_out and seq is None:
-        raise PavlsError(f"family {args.family!r} has no associated sequence")
-    if args.initial_out and initial is None:
-        raise PavlsError(f"family {args.family!r} has no associated committee")
     _write(args.output, (serialize_native(labeled.election),))
-    if args.labels_out:
+    if args.labels_out is not None:
         sidecar = {
             "candidate_labels": labeled.candidate_labels,
             "voter_groups": {g: sorted(v) for g, v in labeled.voter_groups.items()},
             "counterpart": labeled.counterpart,
         }
         _write(args.labels_out, (json.dumps(sidecar, indent=2), "\n"))
-    if args.sequence_out:
+    if args.sequence_out is not None:
         _write(args.sequence_out, (f"{s.out_candidate} {s.in_candidate}\n" for s in seq))
-    if args.initial_out:
+    if args.initial_out is not None:
         _write(args.initial_out, (" ".join(map(str, sorted(initial))), "\n"))
     return 0
 
@@ -238,8 +234,8 @@ def _cmd_certify(args) -> int:
 def _cmd_run(args) -> int:
     election = _load_election(args)
     initial = (
-        _read_committee(args.initial) if args.initial
-        else select_initial_committee(election)
+        select_initial_committee(election) if args.initial is None
+        else _read_committee(args.initial)
     )
     eps = Epsilon.resolve(_epsilon(args), election)
     trace = run_search(election, initial, eps, RULES[args.rule], step_cap=args.step_cap)
@@ -253,12 +249,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.election and args.model:
+    if args.election is not None and args.model is not None:
         raise PavlsError("experiment takes --election or --model, not both")
-    if args.election:
+    if args.election is not None:
         _refuse_unread(args, (*_MODEL_DEFAULTS, "-n", "-m"), "experiment --election")
         source = _load_election(args)
-    elif args.model:
+    elif args.model is not None:
         if args.format is not None:  # the model source reads no file
             raise PavlsError(f"experiment --model takes no --format {args.format}")
         source = _sampler_config(args, 0)

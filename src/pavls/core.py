@@ -359,7 +359,7 @@ class Epsilon:
             return Epsilon.zero_plus(election.require_committee_size())
         if selector == "threshold":
             return Epsilon.threshold(election)
-        return Epsilon.custom(selector)
+        return Epsilon(selector)
 
 
 def check_epsilon(epsilon: Epsilon) -> None:

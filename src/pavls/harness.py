@@ -7,7 +7,8 @@ repetition ``rep`` at the ``ki``-th committee size runs with seed
 ``base_seed * 1_000_003 + (ki * repetitions + rep)``, so repetitions are
 independent and reproducible regardless of execution order.  A config
 with more than 1_000_003 cells is rejected, since its seeds would run
-into those of the next base seed.
+into those of the next base seed; so is a negative base seed, whose
+seeds ``random.Random`` would read as their absolute values.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ class ExperimentConfig:
             raise HarnessError(
                 f"a fixed election runs once per (k, rule), got repetitions={self.repetitions}"
             )
-        if type(self.base_seed) is not int:
-            raise HarnessError(f"base seed must be an int, got {self.base_seed!r}")
+        # Base seed -1's first cell would sample base seed 1's election.
+        if type(self.base_seed) is not int or self.base_seed < 0:
+            raise HarnessError(f"base seed must be an int >= 0, got {self.base_seed!r}")
         cells = len(self.k_values) * self.repetitions
         if cells > SEED_STRIDE:
             raise HarnessError(

@@ -4,9 +4,9 @@ Three models, named in ``MODELS``: impartial culture, resampling
 around a central ballot, and Euclidean proximity.  Each model's
 ``ballots(rng, n, m)`` draws one ballot per voter; ``sample`` is the
 only entry point.  All are deterministic functions of their config
-(including the seed); the generator is `random.Random`, i.e. the
-Mersenne Twister, which is documented, seedable, and stable across
-platforms and Python versions.
+(including the seed, an int >= 0); the generator is `random.Random`,
+i.e. the Mersenne Twister, which is documented, seedable, and stable
+across platforms and Python versions.
 
 Sampled elections carry no committee size; callers attach one.
 """
@@ -126,6 +126,9 @@ class SamplerConfig:
             raise SamplerError(f"n, m and seed must be ints, got {(self.n, self.m, self.seed)}")
         if self.n < 1 or self.m < 1:
             raise SamplerError(f"need n, m >= 1, got n={self.n}, m={self.m}")
+        # random.Random seeds with |seed|: -3 would draw seed 3's election.
+        if self.seed < 0:
+            raise SamplerError(f"seed must be >= 0, got {self.seed}")
 
 
 def sample(config: SamplerConfig) -> Election:

@@ -353,12 +353,16 @@ def test_construct_input_errors_exit_code(tmp_path, capsys):
                         "1 <= j < k")
     e_path, seq_path = tmp_path / "e.pavls", tmp_path / "seq.txt"
     for family in ("f", "e", "et"):
-        for flag, message in (("--sequence-out", "no associated sequence"),
-                              ("--initial-out", "no associated committee")):
+        for flag, message in (("--sequence-out", f"family {family!r} takes no --sequence-out"),
+                              ("--initial-out", f"family {family!r} takes no --initial-out")):
             _assert_input_error(
                 capsys, ["construct", "--family", family, "-k", "5", "-o", str(e_path),
                          flag, str(seq_path)], message)
             assert not e_path.exists() and not seq_path.exists()
+    # The refusal comes before the family is built, which -j 0 would fail.
+    _assert_input_error(
+        capsys, ["construct", "--family", "f", "-k", "5", "-j", "0", "--initial-out",
+                 str(seq_path)], "family 'f' takes no --initial-out")
     # --gamma sizes only the hardened blockers; elsewhere it was ignored.
     for family in ("warmup", "f", "e", "et", "layered"):
         _assert_input_error(
@@ -424,6 +428,34 @@ def test_unread_options_exit_code(tmp_path, capsys, argv, message):
     # file does not exist: the option is refused before any file is read
     # (and before the output directory or file is made).
     paths = {"MISSING": str(tmp_path / "missing.pavls"), "OUT": str(tmp_path / "out")}
+    _assert_input_error(capsys, [paths.get(a, a) for a in argv], message)
+    assert not (tmp_path / "out").exists()
+
+
+_NO_FILE = "No such file or directory: ''"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--election", "TOY", "--format", "preflib-cat", "--approve-categories", "",
+      "-k", "1"], "need at least one approved category"),
+    (["run", "--election", "FIG1B", "--initial", ""], "cannot read"),
+    (["sample", "--model", "ic", "-n", "5", "-m", "4", "-o", ""], _NO_FILE),
+    *((["construct", "--family", "warmup", "-k", "8", "-o", "E", flag, ""], _NO_FILE)
+      for flag in ("--sequence-out", "--initial-out", "--labels-out")),
+    (["experiment", "--election", "", "--model", "ic", "--k-values", "2", "--out", "OUT"],
+     "not both"),
+    (["sample", "--model", "ic", "-n", "5", "-m", "4", "--seed", "-1"], "seed must be >= 0"),
+], ids=["approve-categories", "initial", "sample-o", "sequence-out", "initial-out",
+        "labels-out", "experiment-election", "negative-seed"])
+def test_empty_values_exit_code(tmp_path, capsys, fig1b, argv, message):
+    # An empty value was read as an absent option: category 1, the
+    # max-approval start, stdout, no sidecar or the model source, and
+    # seed -1 drew seed 1's election; each command exited 0.
+    toy, e_path = tmp_path / "toy.cat", tmp_path / "fig1b.pavls"
+    toy.write_text("# NUMBER ALTERNATIVES: 2\n1: {1},{2}\n2: {2},{1}\n")
+    e_path.write_text(serialize_native(fig1b))
+    paths = {"TOY": str(toy), "FIG1B": str(e_path), "E": str(tmp_path / "e.pavls"),
+             "OUT": str(tmp_path / "out")}
     _assert_input_error(capsys, [paths.get(a, a) for a in argv], message)
     assert not (tmp_path / "out").exists()
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pavls import (
+    BestResponse,
     ConstructionError,
     Epsilon,
     HardenedParams,
@@ -16,6 +17,7 @@ from pavls import (
     InvalidElectionError,
     LabeledElection,
     LayeredParams,
+    LexicographicBetterResponse,
     PavlsError,
     Swap,
     certify_hardened,
@@ -32,6 +34,7 @@ from pavls import (
     layered_election,
     layered_initial_committee,
     min_k_gain_search,
+    run,
     serialize_native,
     validate_sequence,
     warmup_election,
@@ -669,6 +672,37 @@ def test_certify_hardened_reports_first_mismatch(monkeypatch):
     cert = certify_hardened(hp, step_cap=5)
     assert len(cert.predicted) == 5
     assert not cert.matches and cert.first_mismatch == 4
+
+
+def test_hardened_epsilon_sweep():
+    # The small row of the epsilon sweep: from the layered start of
+    # hardened (2, 22), lex better response grows from no swap at 1/k to
+    # the 275-swap z-sequence at 1/k^4, while best response takes one
+    # swap once epsilon is at most 1/k^2.  Each row is (swaps, comparisons,
+    # exact evaluations, min step delta), recorded at commit e3a418b.
+    params = LayeredParams(2, 22)
+    election = hardened_election(HardenedParams(params)).election
+    start = layered_initial_committee(params)
+    k = params.k
+    none = (0, 968, 148, None)
+    one = (1, 1936, 308, Fraction(11, 1995))
+    full = (275, 72897, 10450, Fraction(1, 101745))
+    sweep = (
+        (Fraction(1, k), none, none),
+        (Fraction(1, k**2), (2, 2556, 402, Fraction(1, 399)), one),
+        (Fraction(1, k**3), (11, 8976, 1386, Fraction(1, 1995)), one),
+        (Fraction(1, k**4), full, one),
+        (Fraction(1, k**5), full, one),
+        ("zero-plus", full, one),
+    )
+    for selector, *expected in sweep:
+        eps = Epsilon.resolve(selector, election)
+        for rule, want in zip((LexicographicBetterResponse(), BestResponse()), expected):
+            trace = run(election, start, eps, rule)
+            assert trace.terminated
+            got = (trace.swaps, trace.comparisons, trace.delta_evals,
+                   min(trace.step_deltas, default=None))
+            assert got == want, (selector, rule)
 
 
 def test_certify_hardened_gamma_too_small():

@@ -133,7 +133,8 @@ def test_config_validation():
     for bad in (0, "3", 1.5, True, None):
         with pytest.raises(HarnessError):
             ExperimentConfig(source, (2,), repetitions=bad)
-    for bad in ("x", 1.0, True, None):
+    # random.Random reads seed -1 as 1.
+    for bad in ("x", 1.0, True, None, -1):
         with pytest.raises(HarnessError):
             ExperimentConfig(source, (2,), base_seed=bad)
     with pytest.raises(HarnessError):

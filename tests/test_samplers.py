@@ -40,9 +40,10 @@ def test_parameter_validation():
         assert sample(SamplerConfig(model, 5, 4, 1)).n == 5
     with pytest.raises(SamplerError):
         SamplerConfig(ImpartialCulture(0.5), 0, 5, 1)
-    # Exact ints only: n=True would sample one voter, n=2.5 raise TypeError.
+    # Exact ints only: n=True would sample one voter, n=2.5 raise TypeError;
+    # random.Random reads seed -1 as 1.
     for n, m, seed in ((True, 5, 1), (2.5, 5, 1), ("5", 5, 1), (5, 5.0, 1), (5, 5, "1"),
-                       (5, 5, 1.0), (5, 5, None)):
+                       (5, 5, 1.0), (5, 5, None), (5, 5, -1)):
         with pytest.raises(SamplerError):
             SamplerConfig(ImpartialCulture(0.5), n, m, seed)
 
